@@ -290,6 +290,7 @@ let fig7 () =
 (* --- §VI-A: DARCO speed, measured with Bechamel --- *)
 
 let speed_workload = lazy ((Registry.find "429.mcf").build ())
+let speed_summary : Darco_obs.Jsonx.t option ref = ref None
 
 let bechamel_speed () =
   let open Bechamel in
@@ -344,7 +345,22 @@ let bechamel_speed () =
       let ns = ns_per_run name in
       Printf.printf "  %-12s %8.1f ms/run -> %.2f guest MIPS\n" name (ns /. 1e6)
         (float_of_int insns /. (ns /. 1e9) /. 1e6))
-    [ "functional"; "with-timing"; "with-profiler" ]
+    [ "functional"; "with-timing"; "with-profiler" ];
+  (* the host-independent figure: what attaching the timing model costs
+     relative to the functional run on the same host *)
+  let functional = ns_per_run "functional" and timed = ns_per_run "with-timing" in
+  Printf.printf "  timed/functional %.2fx\n" (timed /. functional);
+  let open Darco_obs in
+  speed_summary :=
+    Some
+      (Jsonx.Obj
+         [
+           ("workload", Jsonx.String "429.mcf");
+           ("guest_insns_per_run", Jsonx.Int insns);
+           ("functional_ns_per_run", Jsonx.Float functional);
+           ("with_timing_ns_per_run", Jsonx.Float timed);
+           ("timed_functional_ratio", Jsonx.Float (timed /. functional));
+         ])
 
 let speed () =
   print_endline "=== Section VI-A: DARCO speed ===";
@@ -1231,6 +1247,7 @@ let write_results path =
         ("runs", Jsonx.List (List.rev_map entry !recorded));
         ( "sampling",
           match !sampling_summary with Some j -> j | None -> Jsonx.Null );
+        ("speed", match !speed_summary with Some j -> j | None -> Jsonx.Null);
         ( "engines",
           match !engines_summary with Some j -> j | None -> Jsonx.Null );
         ( "hot_regions",

@@ -145,6 +145,7 @@ let connect_worker ~bus ~timeout ~ix (a : addr) =
   | exception Invalid_argument m -> fail None m
   | inet -> (
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.setsockopt fd Unix.TCP_NODELAY true;
     Unix.set_nonblock fd;
     let sockaddr = Unix.ADDR_INET (inet, a.port) in
     let deadline = Unix.gettimeofday () +. timeout in

@@ -311,6 +311,9 @@ let serve ?(quiet = false) ?(isolate = false) ?exec ?ready ?(jobs = 1)
   let rec accept_loop () =
     match Unix.accept sock with
     | fd, peer ->
+      (* small request/reply frames: never wait out the peer's delayed ACK *)
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ -> ());
       log quiet "connection from %s"
         (match peer with
         | Unix.ADDR_INET (a, p) ->

@@ -160,50 +160,86 @@ let pp_region ppf r =
   Array.iteri (fun i insn -> Format.fprintf ppf "  @%d: %s@ " i (insn_to_string insn)) r.code;
   Format.fprintf ppf "@]"
 
-(* r0 is hard-wired zero: it is never a real definition and reading it
-   carries no dependence. *)
-let strip = List.filter (fun r -> r <> 0)
+(* The one derivation of what an instruction reads and writes.  [decode]
+   fills a caller-owned [operands] record in place, so per-instruction
+   consumers (the timing pipeline) pay no allocation; [defs]/[uses]/
+   [fdefs]/[fuses] are list views over the same match.  r0 is hard-wired
+   zero: it is never a real definition and reading it carries no
+   dependence, so it is dropped from the integer sets. *)
+type operands = {
+  int_uses : int array;
+  mutable n_int_uses : int;
+  fp_uses : int array;
+  mutable n_fp_uses : int;
+  int_defs : int array;
+  mutable n_int_defs : int;
+  fp_defs : int array;
+  mutable n_fp_defs : int;
+}
 
-let defs = function
-  | Li (rd, _) | Bin (_, rd, _, _) | Bini (_, rd, _, _)
-  | Load (_, _, rd, _, _) | Sload (_, _, rd, _, _)
-  | Fcmp (rd, _, _) | Cvtfi (rd, _) | Mkfl (_, rd, _, _, _) | Isel (rd, _, _, _) ->
-    strip [ rd ]
-  | Callrt_div { q; r; _ } -> strip [ q; r ]
-  | Nop | Store _ | Fli _ | Fmov _ | Fbin _ | Fun _ | Fload _ | Fstore _ | Cvtif _
-  | Callrt_f _ | B _ | J _ | Jr _ | Assert _ | Chk | Commit _ | Exit _ ->
-    []
+let operands () =
+  {
+    int_uses = Array.make 3 0;
+    n_int_uses = 0;
+    fp_uses = Array.make 2 0;
+    n_fp_uses = 0;
+    int_defs = Array.make 2 0;
+    n_int_defs = 0;
+    fp_defs = Array.make 1 0;
+    n_fp_defs = 0;
+  }
 
-let uses = function
-  | Bin (_, _, ra, rb) | B (_, ra, rb, _) | Assert (_, ra, rb) -> strip [ ra; rb ]
-  | Mkfl (_, _, ra, rb, rc) -> strip [ ra; rb; rc ]
-  | Isel (_, rc, ra, rb) -> strip [ rc; ra; rb ]
-  | Bini (_, _, ra, _) | Load (_, _, _, ra, _) | Sload (_, _, _, ra, _)
-  | Fload (_, ra, _) | Cvtif (_, ra) ->
-    strip [ ra ]
-  | Store (_, rv, ra, _) -> strip [ rv; ra ]
-  | Fstore (_, ra, _) -> strip [ ra ]
-  | Jr (ra, rg) -> strip [ ra; rg ]
-  | Callrt_div { hi; lo; d; _ } -> strip [ hi; lo; d ]
-  | Exit e -> (match e.kind with Exit_indirect r -> strip [ r ] | _ -> [])
-  | Nop | Li _ | Fli _ | Fmov _ | Fbin _ | Fun _ | Fcmp _ | Cvtfi _ | Callrt_f _ | J _
-  | Chk | Commit _ ->
-    []
+let use o r =
+  if r <> 0 then begin
+    o.int_uses.(o.n_int_uses) <- r;
+    o.n_int_uses <- o.n_int_uses + 1
+  end
 
-let fdefs = function
-  | Fli (fd, _) | Fmov (fd, _) | Fbin (_, fd, _, _) | Fun (_, fd, _) | Fload (fd, _, _)
-  | Cvtif (fd, _) | Callrt_f (_, fd, _) ->
-    [ fd ]
-  | Nop | Li _ | Bin _ | Bini _ | Load _ | Sload _ | Store _ | Fstore _ | Fcmp _
-  | Cvtfi _ | Mkfl _ | Isel _ | Callrt_div _ | B _ | J _ | Jr _ | Assert _ | Chk
-  | Commit _ | Exit _ ->
-    []
+let def o r =
+  if r <> 0 then begin
+    o.int_defs.(o.n_int_defs) <- r;
+    o.n_int_defs <- o.n_int_defs + 1
+  end
 
-let fuses = function
-  | Fmov (_, fs) | Fun (_, _, fs) | Cvtfi (_, fs) | Callrt_f (_, _, fs) -> [ fs ]
-  | Fbin (_, _, fa, fb) | Fcmp (_, fa, fb) -> [ fa; fb ]
-  | Fstore (fv, _, _) -> [ fv ]
-  | Nop | Li _ | Bin _ | Bini _ | Load _ | Sload _ | Store _ | Fli _ | Fload _ | Cvtif _
-  | Mkfl _ | Isel _ | Callrt_div _ | B _ | J _ | Jr _ | Assert _ | Chk | Commit _
-  | Exit _ ->
-    []
+let fuse o f =
+  o.fp_uses.(o.n_fp_uses) <- f;
+  o.n_fp_uses <- o.n_fp_uses + 1
+
+let fdef o f =
+  o.fp_defs.(o.n_fp_defs) <- f;
+  o.n_fp_defs <- o.n_fp_defs + 1
+
+let decode o insn =
+  o.n_int_uses <- 0;
+  o.n_fp_uses <- 0;
+  o.n_int_defs <- 0;
+  o.n_fp_defs <- 0;
+  match insn with
+  | Nop | J _ | Chk | Commit _ -> ()
+  | Li (rd, _) -> def o rd
+  | Bin (_, rd, ra, rb) -> def o rd; use o ra; use o rb
+  | Bini (_, rd, ra, _) | Load (_, _, rd, ra, _) | Sload (_, _, rd, ra, _) -> def o rd; use o ra
+  | Store (_, rv, ra, _) -> use o rv; use o ra
+  | Fli (fd, _) -> fdef o fd
+  | Fmov (fd, fs) | Fun (_, fd, fs) | Callrt_f (_, fd, fs) -> fdef o fd; fuse o fs
+  | Fbin (_, fd, fa, fb) -> fdef o fd; fuse o fa; fuse o fb
+  | Fload (fd, ra, _) | Cvtif (fd, ra) -> fdef o fd; use o ra
+  | Fstore (fv, ra, _) -> fuse o fv; use o ra
+  | Fcmp (rd, fa, fb) -> def o rd; fuse o fa; fuse o fb
+  | Cvtfi (rd, fs) -> def o rd; fuse o fs
+  | Mkfl (_, rd, ra, rb, rc) -> def o rd; use o ra; use o rb; use o rc
+  | Isel (rd, rc, ra, rb) -> def o rd; use o rc; use o ra; use o rb
+  | Callrt_div { q; r; hi; lo; d; _ } -> def o q; def o r; use o hi; use o lo; use o d
+  | B (_, ra, rb, _) | Assert (_, ra, rb) | Jr (ra, rb) -> use o ra; use o rb
+  | Exit e -> ( match e.kind with Exit_indirect r -> use o r | _ -> ())
+
+let operand_list pick insn =
+  let o = operands () in
+  decode o insn;
+  let a, n = pick o in
+  List.init n (Array.get a)
+
+let defs = operand_list (fun o -> (o.int_defs, o.n_int_defs))
+let uses = operand_list (fun o -> (o.int_uses, o.n_int_uses))
+let fdefs = operand_list (fun o -> (o.fp_defs, o.n_fp_defs))
+let fuses = operand_list (fun o -> (o.fp_uses, o.n_fp_uses))

@@ -125,9 +125,30 @@ val pp_region : Format.formatter -> region -> unit
 val host_pc : region -> int -> int
 (** Architectural host address of instruction [idx]. *)
 
+(** Register operands of one instruction, decoded in place.  The integer
+    sets never contain r0 (hard-wired zero: no definition, no dependence).
+    Only the first [n_*] slots of each array are meaningful. *)
+type operands = {
+  int_uses : reg array;
+  mutable n_int_uses : int;
+  fp_uses : freg array;
+  mutable n_fp_uses : int;
+  int_defs : reg array;
+  mutable n_int_defs : int;
+  fp_defs : freg array;
+  mutable n_fp_defs : int;
+}
+
+val operands : unit -> operands
+(** A scratch record, large enough for any instruction. *)
+
+val decode : operands -> insn -> unit
+(** Overwrite the record with [insn]'s operands.  Allocation-free: this is
+    the per-retired-instruction form the timing pipeline uses. *)
+
 val defs : insn -> reg list
 val uses : insn -> reg list
 val fdefs : insn -> freg list
 val fuses : insn -> freg list
-(** Register def/use sets (integer and float classes), used by the
-    scheduler's dependence construction and by verification tests. *)
+(** List views of {!decode} (integer and float classes), in operand
+    order, for tests and tools. *)

@@ -38,19 +38,27 @@ let create ~name (geom : Tconfig.cache_geom) ~parent =
     set_mask = geom.sets - 1;
   }
 
-let locate t addr =
-  let block = addr lsr t.line_bits in
-  let set = t.sets.(block land t.set_mask) in
-  let tag = block lsr t.set_bits in
-  (set, tag)
+(* The set an address maps to, and its tag within that set. *)
+let set_of t addr = t.sets.((addr lsr t.line_bits) land t.set_mask)
+let tag_of t addr = addr lsr (t.line_bits + t.set_bits)
 
+(* The one lookup every operation shares: the index of the valid way
+   holding [tag], or -1 on a miss.  No allocation, first match wins. *)
 let find_way set tag =
   let n = Array.length set in
-  let rec go i = if i >= n then None else if set.(i).valid && set.(i).tag = tag then Some set.(i) else go (i + 1) in
-  go 0
+  let i = ref 0 in
+  while !i < n && not (set.(!i).valid && set.(!i).tag = tag) do
+    incr i
+  done;
+  if !i < n then !i else -1
 
+(* Least recently used way; the first on a tie. *)
 let victim set =
-  Array.fold_left (fun best l -> if l.lru < best.lru then l else best) set.(0) set
+  let best = ref set.(0) in
+  for i = 1 to Array.length set - 1 do
+    if set.(i).lru < !best.lru then best := set.(i)
+  done;
+  !best
 
 let fill t set tag ~dirty =
   let l = victim set in
@@ -68,31 +76,31 @@ let fill t set tag ~dirty =
 
 let access t addr ~is_write =
   t.stats.accesses <- t.stats.accesses + 1;
-  let set, tag = locate t addr in
-  match find_way set tag with
-  | Some l ->
+  let set = set_of t addr and tag = tag_of t addr in
+  let w = find_way set tag in
+  if w >= 0 then begin
+    let l = set.(w) in
     t.tick <- t.tick + 1;
     l.lru <- t.tick;
     if is_write then l.dirty <- true;
     t.geom.latency
-  | None ->
+  end
+  else begin
     t.stats.misses <- t.stats.misses + 1;
     let below = t.parent addr ~is_write:false in
     fill t set tag ~dirty:is_write;
     t.geom.latency + below
+  end
 
 let prefetch t addr =
-  let set, tag = locate t addr in
-  match find_way set tag with
-  | Some _ -> ()
-  | None ->
+  let set = set_of t addr and tag = tag_of t addr in
+  if find_way set tag < 0 then begin
     t.stats.prefetch_fills <- t.stats.prefetch_fills + 1;
     ignore (t.parent addr ~is_write:false);
     fill t set tag ~dirty:false
+  end
 
-let contains t addr =
-  let set, tag = locate t addr in
-  find_way set tag <> None
+let contains t addr = find_way (set_of t addr) (tag_of t addr) >= 0
 
 let stats t = t.stats
 let name t = t.name

@@ -32,19 +32,24 @@ type events = {
 }
 
 (* Ring buffer of recent cycles, for the IQ-occupancy and physical-register
-   in-flight caps. *)
-type ring = { buf : int array; mutable n : int }
+   in-flight caps.  [pos] is [n mod capacity], kept as a wrapping index so
+   the per-instruction path never divides; only [buf] and [n] persist. *)
+type ring = { buf : int array; mutable n : int; mutable pos : int }
 
-let ring_make size = { buf = Array.make (max 1 size) 0; n = 0 }
+let ring_make size = { buf = Array.make (max 1 size) 0; n = 0; pos = 0 }
 
 let ring_push r v =
-  r.buf.(r.n mod Array.length r.buf) <- v;
-  r.n <- r.n + 1
+  r.buf.(r.pos) <- v;
+  r.n <- r.n + 1;
+  r.pos <- (if r.pos + 1 = Array.length r.buf then 0 else r.pos + 1)
 
 (* Cycle at which the element [cap] positions back completes (0 when the
    window is not yet full). *)
-let ring_cap r =
-  if r.n < Array.length r.buf then 0 else r.buf.(r.n mod Array.length r.buf)
+let ring_cap r = if r.n < Array.length r.buf then 0 else r.buf.(r.pos)
+
+(* [Stdlib.max] is polymorphic and, without flambda, compares through the
+   runtime; the per-instruction path uses this int-only form. *)
+let imax (a : int) b = if a >= b then a else b
 
 type t = {
   cfg : Tconfig.t;
@@ -90,6 +95,13 @@ type t = {
      [None] costs one pointer test per load and is never persisted — a
      restored pipeline starts with observation off *)
   mutable lat_hist : Darco_obs.Hist.t option;
+  (* per-step scratch, overwritten by every {!step} and never persisted:
+     the retiring instruction's register operands and its class's result
+     latency, unit occupancy and stream weight *)
+  ops : Code.operands;
+  mutable c_latency : int;
+  mutable c_occupancy : int;
+  mutable c_weight : int;
 }
 
 let create (cfg : Tconfig.t) =
@@ -135,44 +147,64 @@ let create (cfg : Tconfig.t) =
     rf_reads = 0;
     rf_writes = 0;
     lat_hist = None;
+    ops = Code.operands ();
+    c_latency = 0;
+    c_occupancy = 0;
+    c_weight = 0;
   }
 
 (* The vector class exists for the SIMD-extension configuration; the
    current host ISA routes nothing to it. *)
 type cls = Simple | Complex | Vector | Mem_read | Mem_write [@@warning "-37"]
 
-(* (unit class, result latency, unit occupancy, stream weight) *)
-let classify (cfg : Tconfig.t) (insn : Code.insn) =
+let set_class t cls latency occupancy weight =
+  t.c_latency <- latency;
+  t.c_occupancy <- occupancy;
+  t.c_weight <- weight;
+  cls
+
+(* The unit class; result latency, unit occupancy and stream weight land
+   in [t]'s scratch fields. *)
+let classify t (insn : Code.insn) =
+  let cfg = t.cfg in
   match insn with
   | Code.Bin ((Mul | Mulhu | Mulhs), _, _, _) ->
-    (Complex, cfg.complex_mul_latency, 1, 1)
-  | Code.Fbin (Fdiv, _, _, _) -> (Complex, cfg.fp_div_latency, cfg.fp_div_latency, 1)
-  | Code.Fbin (_, _, _, _) -> (Complex, cfg.fp_latency, 1, 1)
-  | Code.Fun (Fsqrt, _, _) -> (Complex, cfg.fp_div_latency + 3, cfg.fp_div_latency, 1)
-  | Code.Fun (_, _, _) | Code.Fmov _ | Code.Fli _ -> (Complex, 1, 1, 1)
-  | Code.Fcmp _ | Code.Cvtif _ | Code.Cvtfi _ -> (Complex, 2, 1, 1)
+    set_class t Complex cfg.complex_mul_latency 1 1
+  | Code.Fbin (Fdiv, _, _, _) ->
+    set_class t Complex cfg.fp_div_latency cfg.fp_div_latency 1
+  | Code.Fbin (_, _, _, _) -> set_class t Complex cfg.fp_latency 1 1
+  | Code.Fun (Fsqrt, _, _) ->
+    set_class t Complex (cfg.fp_div_latency + 3) cfg.fp_div_latency 1
+  | Code.Fun (_, _, _) | Code.Fmov _ | Code.Fli _ -> set_class t Complex 1 1 1
+  | Code.Fcmp _ | Code.Cvtif _ | Code.Cvtfi _ -> set_class t Complex 2 1 1
   | Code.Callrt_f (fn, _, _) ->
     let c = Code.rt_cost fn in
-    (Complex, c, c, c)
+    set_class t Complex c c c
   | Code.Callrt_div { signed; _ } ->
     let c = Code.rt_cost (if signed then Rt_divs else Rt_divu) in
-    (Complex, c, c, c)
-  | Code.Load _ | Code.Sload _ | Code.Fload _ -> (Mem_read, 0, 1, 1)
-  | Code.Store _ | Code.Fstore _ -> (Mem_write, 1, 1, 1)
+    set_class t Complex c c c
+  | Code.Load _ | Code.Sload _ | Code.Fload _ -> set_class t Mem_read 0 1 1
+  | Code.Store _ | Code.Fstore _ -> set_class t Mem_write 1 1 1
   | Code.Nop | Code.Li _ | Code.Bin _ | Code.Bini _ | Code.Mkfl _ | Code.Isel _
   | Code.B _ | Code.J _ | Code.Jr _ | Code.Assert _ | Code.Chk | Code.Commit _
   | Code.Exit _ ->
-    (Simple, 1, 1, 1)
+    set_class t Simple 1 1 1
 
+(* Take the earliest-free unit (the first on a tie) no earlier than [at]. *)
 let acquire_unit free_cycles at occupancy =
   let best = ref 0 in
-  Array.iteri (fun i c -> if c < free_cycles.(!best) then best := i else ignore c) free_cycles;
-  let start = max at free_cycles.(!best) in
+  for i = 1 to Array.length free_cycles - 1 do
+    if free_cycles.(i) < free_cycles.(!best) then best := i
+  done;
+  let start = imax at free_cycles.(!best) in
   free_cycles.(!best) <- start + occupancy;
   start
 
 let line_of (cfg : Tconfig.t) pc = pc / cfg.il1.line
 
+(* Per retired host instruction: no allocation and no scan beyond the
+   caches' ways and a TLB miss.  The state it leaves is exactly what the
+   list-based formulation it replaced left (pinned by test_timing). *)
 let step t (ri : Emulator.retire_info) =
   let cfg = t.cfg in
   (* ---- front end ---- *)
@@ -194,24 +226,25 @@ let step t (ri : Emulator.retire_info) =
     t.fetch_cycle <- t.fetch_cycle + tlb_extra + (ic - cfg.il1.latency)
   end;
   (* instruction-queue backpressure *)
-  t.fetch_cycle <- max t.fetch_cycle (ring_cap t.iq_ring);
+  t.fetch_cycle <- imax t.fetch_cycle (ring_cap t.iq_ring);
   t.fetch_count <- t.fetch_count + 1;
   let at_decode = t.fetch_cycle + cfg.decode_depth in
   (* ---- issue ---- *)
-  let cls, latency, occupancy, weight = classify cfg ri.insn in
-  let src_ready =
-    List.fold_left
-      (fun acc r -> max acc t.int_ready.(r))
-      0 (Code.uses ri.insn)
-  in
-  let src_ready =
-    List.fold_left (fun acc r -> max acc t.fp_ready.(r)) src_ready (Code.fuses ri.insn)
-  in
+  let cls = classify t ri.insn in
+  let ops = t.ops in
+  Code.decode ops ri.insn;
+  let src_ready = ref 0 in
+  for i = 0 to ops.n_int_uses - 1 do
+    src_ready := imax !src_ready t.int_ready.(ops.int_uses.(i))
+  done;
+  for i = 0 to ops.n_fp_uses - 1 do
+    src_ready := imax !src_ready t.fp_ready.(ops.fp_uses.(i))
+  done;
   let in_order_at =
     if t.issued_in_cycle >= cfg.issue_width then t.last_issue + 1 else t.last_issue
   in
   let earliest =
-    max (max at_decode src_ready) (max in_order_at (ring_cap t.inflight_ring))
+    imax (imax at_decode !src_ready) (imax in_order_at (ring_cap t.inflight_ring))
   in
   let units =
     match cls with
@@ -221,7 +254,7 @@ let step t (ri : Emulator.retire_info) =
     | Mem_read -> t.rport_free
     | Mem_write -> t.wport_free
   in
-  let issue = acquire_unit units earliest occupancy in
+  let issue = acquire_unit units earliest t.c_occupancy in
   if issue > t.last_issue then begin
     t.last_issue <- issue;
     t.issued_in_cycle <- 1
@@ -242,16 +275,19 @@ let step t (ri : Emulator.retire_info) =
     | Some (addr, `Store) ->
       t.mem_writes <- t.mem_writes + 1;
       let tlb_extra = Tlb.access t.dtlb addr in
-      let lat = Cache.access t.dl1 addr ~is_write:true in
-      ignore lat;
+      ignore (Cache.access t.dl1 addr ~is_write:true);
       tlb_extra + 1
-    | None -> latency
+    | None -> t.c_latency
   in
-  let done_at = issue + max 1 result_latency in
-  List.iter (fun r -> t.int_ready.(r) <- done_at) (Code.defs ri.insn);
-  List.iter (fun r -> t.fp_ready.(r) <- done_at) (Code.fdefs ri.insn);
-  t.rf_reads <- t.rf_reads + List.length (Code.uses ri.insn) + List.length (Code.fuses ri.insn);
-  t.rf_writes <- t.rf_writes + List.length (Code.defs ri.insn) + List.length (Code.fdefs ri.insn);
+  let done_at = issue + imax 1 result_latency in
+  for i = 0 to ops.n_int_defs - 1 do
+    t.int_ready.(ops.int_defs.(i)) <- done_at
+  done;
+  for i = 0 to ops.n_fp_defs - 1 do
+    t.fp_ready.(ops.fp_defs.(i)) <- done_at
+  done;
+  t.rf_reads <- t.rf_reads + ops.n_int_uses + ops.n_fp_uses;
+  t.rf_writes <- t.rf_writes + ops.n_int_defs + ops.n_fp_defs;
   (* ---- control ---- *)
   (match ri.branch with
   | Some (taken, target) ->
@@ -259,20 +295,21 @@ let step t (ri : Emulator.retire_info) =
     let resolve = issue + 1 in
     (match Predictor.observe t.bp ~pc:ri.host_pc ~taken ~target with
     | `Correct -> ()
-    | `Mispredict -> t.redirect_at <- max t.redirect_at (resolve + cfg.mispredict_penalty))
+    | `Mispredict ->
+      t.redirect_at <- imax t.redirect_at (resolve + cfg.mispredict_penalty))
   | None -> ());
   (* ---- bookkeeping ---- *)
   ring_push t.iq_ring issue;
   ring_push t.inflight_ring done_at;
-  t.horizon <- max t.horizon done_at;
-  t.insns <- t.insns + weight;
-  (match cls with
+  t.horizon <- imax t.horizon done_at;
+  t.insns <- t.insns + t.c_weight;
+  match cls with
   | Simple -> t.int_ops <- t.int_ops + 1
   | Complex -> (
     match ri.insn with
     | Code.Bin _ -> t.mul_ops <- t.mul_ops + 1
     | _ -> t.fp_ops <- t.fp_ops + 1)
-  | Vector | Mem_read | Mem_write -> ())
+  | Vector | Mem_read | Mem_write -> ()
 
 let cycles t = max t.horizon t.last_issue
 let instructions t = t.insns
@@ -471,7 +508,8 @@ let restore p =
   blit_same "wport_free" p.p_wport_free t.wport_free;
   let ring_apply name r (buf, n) =
     blit_same name buf r.buf;
-    r.n <- n
+    r.n <- n;
+    r.pos <- n mod Array.length r.buf
   in
   ring_apply "iq_ring" t.iq_ring p.p_iq_ring;
   ring_apply "inflight_ring" t.inflight_ring p.p_inflight_ring;

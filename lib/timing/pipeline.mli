@@ -44,6 +44,8 @@ type events = {
 
 val create : Tconfig.t -> t
 val step : t -> Emulator.retire_info -> unit
+(** Advance the model by one retired host instruction.  Allocation-free:
+    it runs once per retired instruction of every timed run. *)
 
 val attach : t -> Darco_obs.Bus.t -> unit
 (** Subscribe {!step} to the bus's retired-instruction stream (attach

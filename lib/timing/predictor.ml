@@ -37,7 +37,9 @@ let predict t ~pc =
 
 let update t ~pc ~taken ~target =
   let i = pht_index t pc in
-  t.pht.(i) <- (if taken then min 3 (t.pht.(i) + 1) else max 0 (t.pht.(i) - 1));
+  let c = t.pht.(i) in
+  (* saturate at 0..3 without the polymorphic [min]/[max] *)
+  t.pht.(i) <- (if taken then (if c < 3 then c + 1 else 3) else if c > 0 then c - 1 else 0);
   t.ghr <- ((t.ghr lsl 1) lor if taken then 1 else 0) land t.ghr_mask;
   if taken then begin
     let bi = btb_index t pc in
@@ -45,17 +47,21 @@ let update t ~pc ~taken ~target =
     t.btb_target.(bi) <- target
   end
 
+(* What {!predict} decides, read in place: the retire path allocates
+   neither its pair nor its option. *)
 let observe t ~pc ~taken ~target =
   t.stats.branches <- t.stats.branches + 1;
-  let pred_taken, pred_target = predict t ~pc in
+  let pred_taken = t.pht.(pht_index t pc) >= 2 in
   let outcome =
     if pred_taken <> taken then `Mispredict
-    else if taken then
-      match pred_target with
-      | Some tg when tg = target -> `Correct
-      | Some _ | None ->
+    else if taken then begin
+      let i = btb_index t pc in
+      if t.btb_tag.(i) = pc && t.btb_target.(i) = target then `Correct
+      else begin
         t.stats.btb_misses <- t.stats.btb_misses + 1;
         `Mispredict
+      end
+    end
     else `Correct
   in
   if outcome = `Mispredict then t.stats.mispredicts <- t.stats.mispredicts + 1;

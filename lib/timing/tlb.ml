@@ -8,6 +8,9 @@ type t = {
   parent : int -> int;
   stats : stats;
   mutable tick : int;
+  mutable last : int;
+      (* memo: index of the entry that last hit or was filled, or -1.  A
+         hint only: re-checked on every use, never persisted. *)
 }
 
 let page_bits = 12
@@ -19,35 +22,53 @@ let create (geom : Tconfig.tlb_geom) ~parent =
     parent;
     stats = { accesses = 0; misses = 0 };
     tick = 0;
+    last = -1;
   }
 
 let walker (cfg : Tconfig.t) _vpn = cfg.tlb_walk_latency
+
+(* Index of the valid entry translating [vpn], or -1.  Every fill targets
+   a miss, so at most one valid entry holds a given page and the first
+   match is the only one. *)
+let lookup t vpn =
+  let m = t.last in
+  if m >= 0 && t.entries.(m).valid && t.entries.(m).vpn = vpn then m
+  else begin
+    let n = Array.length t.entries in
+    let i = ref 0 in
+    while !i < n && not (t.entries.(!i).valid && t.entries.(!i).vpn = vpn) do
+      incr i
+    done;
+    if !i < n then !i else -1
+  end
+
+(* Least recently used entry; the first on a tie. *)
+let victim t =
+  let best = ref 0 in
+  for i = 1 to Array.length t.entries - 1 do
+    if t.entries.(i).lru < t.entries.(!best).lru then best := i
+  done;
+  !best
 
 let access t addr =
   let vpn = addr lsr page_bits in
   t.stats.accesses <- t.stats.accesses + 1;
   t.tick <- t.tick + 1;
-  let hit =
-    Array.fold_left
-      (fun acc e ->
-        if e.valid && e.vpn = vpn then begin
-          e.lru <- t.tick;
-          true
-        end
-        else acc)
-      false t.entries
-  in
-  if hit then t.latency
+  let hit = lookup t vpn in
+  if hit >= 0 then begin
+    t.entries.(hit).lru <- t.tick;
+    t.last <- hit;
+    t.latency
+  end
   else begin
     t.stats.misses <- t.stats.misses + 1;
     let below = t.parent vpn in
-    let v =
-      Array.fold_left (fun best e -> if e.lru < best.lru then e else best) t.entries.(0)
-        t.entries
-    in
-    v.valid <- true;
-    v.vpn <- vpn;
-    v.lru <- t.tick;
+    let v = victim t in
+    let e = t.entries.(v) in
+    e.valid <- true;
+    e.vpn <- vpn;
+    e.lru <- t.tick;
+    t.last <- v;
     t.latency + below
   end
 
@@ -82,6 +103,7 @@ let apply t p =
       e.lru <- lru)
     p.p_entries;
   t.tick <- p.p_tick;
+  t.last <- -1;
   t.stats.accesses <- p.p_accesses;
   t.stats.misses <- p.p_misses
 

@@ -671,12 +671,23 @@ let spec_slow =
 (* A probe client: poll [darco top]'s exact fetch until the campaign is
    visibly in flight, persist that one consistent view (top text, METR
    snapshot, HLTH document all from the same instant), ask for STAT, and
-   only then submit the second campaign that lets the service exit. *)
+   only then submit the second campaign that lets the service exit.
+   [Top.fetch] is two round trips (METR, then HLTH), so a view counts as
+   in flight only when both halves say so: the scrape must already show
+   the admitted campaign, not just the health document. *)
+let in_flight (v : Top.view) =
+  let counter n = Option.value ~default:0 (List.assoc_opt n v.metrics.Reg.counters) in
+  let gauge n = Option.value ~default:0 (List.assoc_opt n v.metrics.Reg.gauges) in
+  contains (Top.render v) "continuous"
+  && counter "submissions_total" = 1
+  && gauge "serve_campaigns_active" = 1
+  && gauge "serve_windows_unsettled" > 0
+
 let telemetry_probe dir addr =
   let save name s = write_file (Filename.concat dir name) s in
   let rec grab tries =
     match Top.fetch addr with
-    | Ok v when tries = 0 || contains (Top.render v) "continuous" -> Ok v
+    | Ok v when tries = 0 || in_flight v -> Ok v
     | Error e when tries = 0 -> Error e
     | _ ->
       Unix.sleepf 0.05;
