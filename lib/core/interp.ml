@@ -26,8 +26,7 @@ let step_bb (bus : Bus.t) (cfg : Config.t) (stats : Stats.t) profile icache cpu 
         (Event.Interp_block { pc = entry; insns = !insns; cost })
   in
   let rec loop () =
-    let r = Step.step icache cpu mem in
-    match r.control with
+    match Step.step icache cpu mem with
     | Trap_syscall -> `Syscall
     | Trap_halt ->
       incr insns;
@@ -36,7 +35,7 @@ let step_bb (bus : Bus.t) (cfg : Config.t) (stats : Stats.t) profile icache cpu 
     | Next ->
       incr insns;
       loop ()
-    | Cond_branch _ | Uncond _ | Indirect _ ->
+    | Branch ->
       incr insns;
       finish_bb ();
       `Next
@@ -49,10 +48,9 @@ let step_bb (bus : Bus.t) (cfg : Config.t) (stats : Stats.t) profile icache cpu 
 
 let step_one (bus : Bus.t) (cfg : Config.t) (stats : Stats.t) icache cpu mem =
   let pc = cpu.Cpu.eip in
-  let r = Step.step icache cpu mem in
-  (match r.control with
+  (match Step.step icache cpu mem with
   | Trap_syscall | Trap_halt -> invalid_arg "Interp.step_one: trapping instruction"
-  | Next | Cond_branch _ | Uncond _ | Indirect _ -> ());
+  | Next | Branch -> ());
   stats.guest_im <- stats.guest_im + 1;
   Stats.charge stats Ov_interp cfg.costs.interp_per_insn;
   if Bus.active bus then

@@ -33,11 +33,9 @@ let service_syscall t =
 
 let run_until t n =
   while t.retired < n && not t.cpu.Cpu.halted do
-    let r = Step.step t.icache t.cpu t.mem in
-    match r.control with
+    match Step.step t.icache t.cpu t.mem with
     | Trap_syscall -> ignore (service_syscall t)
-    | Trap_halt -> t.retired <- t.retired + 1
-    | Next | Cond_branch _ | Uncond _ | Indirect _ -> t.retired <- t.retired + 1
+    | Next | Branch | Trap_halt -> t.retired <- t.retired + 1
   done
 
 let run_to_halt ?(fuel = max_int) t =

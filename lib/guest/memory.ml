@@ -1,23 +1,41 @@
-type t = { pages : (int, bytes) Hashtbl.t; policy : [ `Auto_zero | `Fault ] }
+type t = {
+  pages : (int, bytes) Hashtbl.t;
+  policy : [ `Auto_zero | `Fault ];
+  (* The last page [get_page] found: most accesses hit the page the one
+     before them did.  Only set from [pages] (never on a fault), updated by
+     [install_page], and never persisted. *)
+  mutable memo_idx : int;
+  mutable memo_page : bytes;
+}
 
 exception Page_fault of int
 
 let page_size = 4096
 let page_bits = 12
-let create policy = { pages = Hashtbl.create 64; policy }
+
+let create policy =
+  { pages = Hashtbl.create 64; policy; memo_idx = -1; memo_page = Bytes.empty }
+
 let page_index addr = addr lsr page_bits
 let page_base idx = idx lsl page_bits
 
+let remember t idx p =
+  t.memo_idx <- idx;
+  t.memo_page <- p;
+  p
+
 let get_page t idx =
-  match Hashtbl.find_opt t.pages idx with
-  | Some p -> p
-  | None ->
-    (match t.policy with
-    | `Fault -> raise (Page_fault idx)
-    | `Auto_zero ->
-      let p = Bytes.make page_size '\000' in
-      Hashtbl.replace t.pages idx p;
-      p)
+  if idx = t.memo_idx then t.memo_page
+  else
+    match Hashtbl.find t.pages idx with
+    | p -> remember t idx p
+    | exception Not_found -> (
+      match t.policy with
+      | `Fault -> raise (Page_fault idx)
+      | `Auto_zero ->
+        let p = Bytes.make page_size '\000' in
+        Hashtbl.replace t.pages idx p;
+        remember t idx p)
 
 let read8 t addr =
   let p = get_page t (page_index addr) in
@@ -99,7 +117,8 @@ let install_page t idx data =
   assert (Bytes.length data = page_size);
   let p = Bytes.make page_size '\000' in
   Bytes.blit data 0 p 0 page_size;
-  Hashtbl.replace t.pages idx p
+  Hashtbl.replace t.pages idx p;
+  ignore (remember t idx p)
 
 let touched_pages t =
   Hashtbl.fold (fun idx _ acc -> idx :: acc) t.pages [] |> List.sort compare

@@ -34,10 +34,13 @@ val write_f64 : t -> int -> float -> unit
 
 val has_page : t -> int -> bool
 val get_page : t -> int -> bytes
-(** Raw page contents; faults/allocates according to policy. *)
+(** Raw page contents; faults/allocates according to policy.  The last page
+    found is memoized, so runs of accesses to one page skip the page table;
+    a fault never sets the memo. *)
 
 val install_page : t -> int -> bytes -> unit
-(** [install_page t idx data] copies [data] (page-sized) in as page [idx]. *)
+(** [install_page t idx data] copies [data] (page-sized) in as page [idx]
+    (and memoizes it, replacing any earlier page [idx]). *)
 
 val touched_pages : t -> int list
 (** Sorted indices of all materialized pages. *)

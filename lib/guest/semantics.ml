@@ -13,74 +13,86 @@ let sign_extend (w : Isa.width) v =
 
 let zf_sf res = Flags.make ~cf:false ~zf:(res = 0) ~sf:(bit31 res) ~of_:false
 
-let add_like a b cf_in =
-  let full = a + b + cf_in in
+let add_flags a b carry =
+  let full = a + b + carry in
   let res = mask32 full in
   let cf = full > 0xFFFFFFFF in
   let of_ = bit31 a = bit31 b && bit31 res <> bit31 a in
-  (res, Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
+  Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_
 
-let sub_like a b cf_in =
-  let full = a - b - cf_in in
+let sub_flags a b carry =
+  let full = a - b - carry in
   let res = mask32 full in
   let cf = full < 0 in
   let of_ = bit31 a <> bit31 b && bit31 res <> bit31 a in
-  (res, Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
+  Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_
 
-let alu (op : Isa.alu_op) ~cf_in a b =
+let alu_value (op : Isa.alu_op) ~cf_in a b =
   let carry = if cf_in then 1 else 0 in
   match op with
-  | Add -> add_like a b 0
-  | Adc -> add_like a b carry
-  | Sub -> sub_like a b 0
-  | Sbb -> sub_like a b carry
-  | And -> let r = a land b in (r, zf_sf r)
-  | Or -> let r = a lor b in (r, zf_sf r)
-  | Xor -> let r = a lxor b in (r, zf_sf r)
+  | Add -> mask32 (a + b)
+  | Adc -> mask32 (a + b + carry)
+  | Sub -> mask32 (a - b)
+  | Sbb -> mask32 (a - b - carry)
+  | And -> a land b
+  | Or -> a lor b
+  | Xor -> a lxor b
+
+let alu_flags (op : Isa.alu_op) ~cf_in a b =
+  let carry = if cf_in then 1 else 0 in
+  match op with
+  | Add -> add_flags a b 0
+  | Adc -> add_flags a b carry
+  | Sub -> sub_flags a b 0
+  | Sbb -> sub_flags a b carry
+  | And | Or | Xor -> zf_sf (alu_value op ~cf_in a b)
+
+let alu op ~cf_in a b = (alu_value op ~cf_in a b, alu_flags op ~cf_in a b)
 
 (* INC/DEC preserve CF: recompute the other flags and splice CF back in. *)
 let keep_cf flags new_flags = new_flags land lnot Flags.cf_bit lor (flags land Flags.cf_bit)
 
-let inc v ~flags =
-  let res, f = add_like v 1 0 in
-  (res, keep_cf flags f)
-
-let dec v ~flags =
-  let res, f = sub_like v 1 0 in
-  (res, keep_cf flags f)
-
-let neg v = sub_like 0 v 0
+let inc v ~flags = (mask32 (v + 1), keep_cf flags (add_flags v 1 0))
+let dec v ~flags = (mask32 (v - 1), keep_cf flags (sub_flags v 1 0))
+let neg v = (mask32 (0 - v), sub_flags 0 v 0)
 let not32 v = mask32 (lnot v)
 
 let rotl32 v c = mask32 ((v lsl c) lor (v lsr (32 - c)))
 let rotr32 v c = mask32 ((v lsr c) lor (v lsl (32 - c)))
 
-let shift (op : Isa.shift_op) v ~count ~flags =
+let shift_value (op : Isa.shift_op) v ~count =
   let c = count land 31 in
-  if c = 0 then (v, flags)
+  if c = 0 then v
+  else
+    match op with
+    | Shl -> mask32 (v lsl c)
+    | Shr -> v lsr c
+    | Sar -> mask32 (signed v asr c)
+    | Rol -> rotl32 v c
+    | Ror -> rotr32 v c
+
+let shift_flags (op : Isa.shift_op) v ~count ~flags =
+  let c = count land 31 in
+  if c = 0 then flags
   else begin
-    let res, cf, of_ =
+    let res = shift_value op v ~count in
+    let cf =
       match op with
-      | Shl ->
-        let res = mask32 (v lsl c) in
-        let cf = v land (1 lsl (32 - c)) <> 0 in
-        (res, cf, bit31 res <> cf)
-      | Shr ->
-        let res = v lsr c in
-        (res, v land (1 lsl (c - 1)) <> 0, bit31 v)
-      | Sar ->
-        let res = mask32 (signed v asr c) in
-        (res, v land (1 lsl (c - 1)) <> 0, false)
-      | Rol ->
-        let res = rotl32 v c in
-        let cf = res land 1 <> 0 in
-        (res, cf, bit31 res <> cf)
-      | Ror ->
-        let res = rotr32 v c in
-        (res, bit31 res, false)
+      | Shl -> v land (1 lsl (32 - c)) <> 0
+      | Shr | Sar -> v land (1 lsl (c - 1)) <> 0
+      | Rol -> res land 1 <> 0
+      | Ror -> bit31 res
     in
-    (res, Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
+    let of_ =
+      match op with
+      | Shl | Rol -> bit31 res <> cf
+      | Shr -> bit31 v
+      | Sar | Ror -> false
+    in
+    Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_
   end
+
+let shift op v ~count ~flags = (shift_value op v ~count, shift_flags op v ~count ~flags)
 
 let mul_u a b =
   let p = Int64.mul (Int64.of_int a) (Int64.of_int b) in

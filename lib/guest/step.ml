@@ -1,25 +1,41 @@
 open Isa
 
-type control =
-  | Next
-  | Cond_branch of { taken : bool; target : int }
-  | Uncond of int
-  | Indirect of int
-  | Trap_syscall
-  | Trap_halt
+type control = Next | Branch | Trap_syscall | Trap_halt
 
-type result = { insn : Isa.insn; len : int; control : control }
-type icache = (int, Isa.insn * int) Hashtbl.t
+(* A direct-mapped front (guest address -> decoded instruction) over the
+   table that holds every instruction decoded so far: a hot loop hits the
+   front, and a conflict costs one table lookup, not a decode. *)
+type icache = {
+  tags : int array;  (* guest address held by each slot; -1 when empty *)
+  slots : (Isa.insn * int) array;
+  table : (int, Isa.insn * int) Hashtbl.t;
+}
 
-let icache_create () : icache = Hashtbl.create 1024
+let front_slots = 1024
+
+let icache_create () : icache =
+  {
+    tags = Array.make front_slots (-1);
+    slots = Array.make front_slots (Nop, 0);
+    table = Hashtbl.create 1024;
+  }
 
 let fetch (ic : icache) mem pc =
-  match Hashtbl.find_opt ic pc with
-  | Some r -> r
-  | None ->
-    let r = Codec.decode ~fetch:(fun a -> Memory.read8 mem a) ~pc in
-    Hashtbl.replace ic pc r;
+  let slot = pc land (front_slots - 1) in
+  if Array.unsafe_get ic.tags slot = pc then Array.unsafe_get ic.slots slot
+  else begin
+    let r =
+      match Hashtbl.find_opt ic.table pc with
+      | Some r -> r
+      | None ->
+        let r = Codec.decode ~fetch:(fun a -> Memory.read8 mem a) ~pc in
+        Hashtbl.replace ic.table pc r;
+        r
+    in
+    ic.tags.(slot) <- pc;
+    ic.slots.(slot) <- r;
     r
+  end
 
 let is_interp_only = function Str (_, _, (Rep | Repe | Repne)) -> true | _ -> false
 
@@ -48,17 +64,14 @@ let write_operand cpu mem op v =
   | Mem m -> Memory.write mem W32 (mem_addr cpu m) v
   | Imm _ -> invalid_arg "write_operand: immediate destination"
 
-(* A read-modify-write destination: reading it first both fetches the value
-   and probes the pages the write-back will touch. *)
-let rmw cpu mem op f =
-  let v = read_operand cpu mem op in
-  match f v with
-  | None -> ()
-  | Some res ->
-    (match op with
-    | Reg r -> Cpu.set cpu r res
-    | Mem m -> Memory.write mem W32 (mem_addr cpu m) res
-    | Imm _ -> invalid_arg "rmw: immediate destination")
+(* The write half of a read-modify-write destination.  Reading the
+   destination first (with [read_operand]) both fetched the value and probed
+   the pages this write touches, so it cannot fault. *)
+let write_back cpu mem op res =
+  match op with
+  | Reg r -> Cpu.set cpu r res
+  | Mem m -> Memory.write mem W32 (mem_addr cpu m) res
+  | Imm _ -> invalid_arg "write_back: immediate destination"
 
 let push cpu mem v =
   let sp = Semantics.mask32 (Cpu.get cpu ESP - 4) in
@@ -94,14 +107,12 @@ let string_once cpu mem kind w =
   | Scas ->
     let v = Memory.read mem w edi in
     let a = Semantics.truncate_width w (Cpu.get cpu EAX) in
-    let _, f = Semantics.alu Sub ~cf_in:false a v in
-    cpu.flags <- f;
+    cpu.flags <- Semantics.sub_flags a v 0;
     Cpu.set cpu EDI (edi + sz)
   | Cmps ->
     let a = Memory.read mem w esi in
     let b = Memory.read mem w edi in
-    let _, f = Semantics.alu Sub ~cf_in:false a b in
-    cpu.flags <- f;
+    cpu.flags <- Semantics.sub_flags a b 0;
     Cpu.set cpu ESI (esi + sz);
     Cpu.set cpu EDI (edi + sz)
 
@@ -125,14 +136,15 @@ let exec_string cpu mem kind w rep =
     in
     loop true
 
-let exec cpu mem insn =
-  let rd op = read_operand cpu mem op in
+(* Execute [insn] (of encoded length [len]) at [cpu.eip].  A control
+   transfer sets EIP itself and answers [Branch]; [Next] and the traps leave
+   EIP to [step]. *)
+let exec (cpu : Cpu.t) mem insn len =
   let cf_in = Flags.cf cpu.flags in
   match insn with
   | Nop -> Next
   | Mov (d, s) ->
-    let v = rd s in
-    write_operand cpu mem d v;
+    write_operand cpu mem d (read_operand cpu mem s);
     Next
   | Movx (w, signed, r, m) ->
     let v = Memory.read mem w (mem_addr cpu m) in
@@ -147,98 +159,105 @@ let exec cpu mem insn =
     Cpu.set cpu r (mem_addr cpu m);
     Next
   | Alu (op, d, s) ->
-    let b = rd s in
-    rmw cpu mem d (fun a ->
-        let res, f = Semantics.alu op ~cf_in a b in
-        cpu.flags <- f;
-        Some res);
+    let b = read_operand cpu mem s in
+    let a = read_operand cpu mem d in
+    cpu.flags <- Semantics.alu_flags op ~cf_in a b;
+    write_back cpu mem d (Semantics.alu_value op ~cf_in a b);
     Next
   | Cmp (d, s) ->
-    let a = rd d and b = rd s in
-    let _, f = Semantics.alu Sub ~cf_in:false a b in
-    cpu.flags <- f;
+    let a = read_operand cpu mem d in
+    cpu.flags <- Semantics.alu_flags Sub ~cf_in:false a (read_operand cpu mem s);
     Next
   | Test (d, s) ->
-    let a = rd d and b = rd s in
-    let _, f = Semantics.alu And ~cf_in:false a b in
-    cpu.flags <- f;
+    let a = read_operand cpu mem d in
+    cpu.flags <- Semantics.alu_flags And ~cf_in:false a (read_operand cpu mem s);
     Next
   | Inc d ->
-    rmw cpu mem d (fun a ->
-        let res, f = Semantics.inc a ~flags:cpu.flags in
-        cpu.flags <- f;
-        Some res);
+    let a = read_operand cpu mem d in
+    cpu.flags <- Semantics.keep_cf cpu.flags (Semantics.add_flags a 1 0);
+    write_back cpu mem d (Semantics.mask32 (a + 1));
     Next
   | Dec d ->
-    rmw cpu mem d (fun a ->
-        let res, f = Semantics.dec a ~flags:cpu.flags in
-        cpu.flags <- f;
-        Some res);
+    let a = read_operand cpu mem d in
+    cpu.flags <- Semantics.keep_cf cpu.flags (Semantics.sub_flags a 1 0);
+    write_back cpu mem d (Semantics.mask32 (a - 1));
     Next
   | Neg d ->
-    rmw cpu mem d (fun a ->
-        let res, f = Semantics.neg a in
-        cpu.flags <- f;
-        Some res);
+    let a = read_operand cpu mem d in
+    cpu.flags <- Semantics.sub_flags 0 a 0;
+    write_back cpu mem d (Semantics.mask32 (0 - a));
     Next
   | Not d ->
-    rmw cpu mem d (fun a -> Some (Semantics.not32 a));
+    write_back cpu mem d (Semantics.not32 (read_operand cpu mem d));
     Next
   | Shift (op, d, c) ->
-    let count = rd c in
-    rmw cpu mem d (fun a ->
-        let res, f = Semantics.shift op a ~count ~flags:cpu.flags in
-        cpu.flags <- f;
-        Some res);
+    let count = read_operand cpu mem c in
+    let a = read_operand cpu mem d in
+    cpu.flags <- Semantics.shift_flags op a ~count ~flags:cpu.flags;
+    write_back cpu mem d (Semantics.shift_value op a ~count);
     Next
   | Mul s ->
-    let lo, hi, f = Semantics.mul_u (Cpu.get cpu EAX) (rd s) in
+    let lo, hi, f = Semantics.mul_u (Cpu.get cpu EAX) (read_operand cpu mem s) in
     Cpu.set cpu EAX lo;
     Cpu.set cpu EDX hi;
     cpu.flags <- f;
     Next
   | Imul s ->
-    let lo, hi, f = Semantics.mul_s (Cpu.get cpu EAX) (rd s) in
+    let lo, hi, f = Semantics.mul_s (Cpu.get cpu EAX) (read_operand cpu mem s) in
     Cpu.set cpu EAX lo;
     Cpu.set cpu EDX hi;
     cpu.flags <- f;
     Next
   | Imul2 (r, s) ->
-    let res, f = Semantics.imul2 (Cpu.get cpu r) (rd s) in
+    let res, f = Semantics.imul2 (Cpu.get cpu r) (read_operand cpu mem s) in
     Cpu.set cpu r res;
     cpu.flags <- f;
     Next
   | Div s ->
-    let q, r = Semantics.div_u ~hi:(Cpu.get cpu EDX) ~lo:(Cpu.get cpu EAX) (rd s) in
+    let q, r =
+      Semantics.div_u ~hi:(Cpu.get cpu EDX) ~lo:(Cpu.get cpu EAX) (read_operand cpu mem s)
+    in
     Cpu.set cpu EAX q;
     Cpu.set cpu EDX r;
     Next
   | Idiv s ->
-    let q, r = Semantics.div_s ~hi:(Cpu.get cpu EDX) ~lo:(Cpu.get cpu EAX) (rd s) in
+    let q, r =
+      Semantics.div_s ~hi:(Cpu.get cpu EDX) ~lo:(Cpu.get cpu EAX) (read_operand cpu mem s)
+    in
     Cpu.set cpu EAX q;
     Cpu.set cpu EDX r;
     Next
   | Push s ->
-    let v = rd s in
-    push cpu mem v;
+    push cpu mem (read_operand cpu mem s);
     Next
   | Pop r ->
     let v = pop cpu mem in
     Cpu.set cpu r v;
     Next
-  | Jmp t -> Uncond t
-  | JmpInd s -> Indirect (rd s)
-  | Jcc (c, t) -> Cond_branch { taken = Flags.eval_cond c cpu.flags; target = t }
+  | Jmp t ->
+    cpu.eip <- t;
+    Branch
+  | JmpInd s ->
+    cpu.eip <- read_operand cpu mem s;
+    Branch
+  | Jcc (c, t) ->
+    cpu.eip <-
+      (if Flags.eval_cond c cpu.flags then t else Semantics.mask32 (cpu.eip + len));
+    Branch
   | Call t ->
     push cpu mem (Semantics.mask32 (cpu.eip + Codec.length insn));
-    Uncond t
+    cpu.eip <- t;
+    Branch
   | CallInd s ->
-    let target = rd s in
+    let target = read_operand cpu mem s in
     push cpu mem (Semantics.mask32 (cpu.eip + Codec.length insn));
-    Indirect target
-  | Ret -> Indirect (pop cpu mem)
+    cpu.eip <- target;
+    Branch
+  | Ret ->
+    cpu.eip <- pop cpu mem;
+    Branch
   | Cmov (c, r, s) ->
-    let v = rd s in
+    let v = read_operand cpu mem s in
     if Flags.eval_cond c cpu.flags then Cpu.set cpu r v;
     Next
   | Setcc (c, r) ->
@@ -282,12 +301,11 @@ let exec cpu mem insn =
 
 let step ic cpu mem =
   let insn, len = fetch ic mem cpu.Cpu.eip in
-  let control = exec cpu mem insn in
-  (match control with
-  | Next -> cpu.eip <- Semantics.mask32 (cpu.eip + len)
-  | Cond_branch { taken; target } ->
-    cpu.eip <- (if taken then target else Semantics.mask32 (cpu.eip + len))
-  | Uncond t | Indirect t -> cpu.eip <- t
-  | Trap_syscall -> ()
-  | Trap_halt -> cpu.halted <- true);
-  { insn; len; control }
+  match exec cpu mem insn len with
+  | Next ->
+    cpu.eip <- Semantics.mask32 (cpu.eip + len);
+    Next
+  | Trap_halt ->
+    cpu.halted <- true;
+    Trap_halt
+  | (Branch | Trap_syscall) as c -> c

@@ -9,28 +9,28 @@
     describe the remaining work, as on real x86). *)
 
 type control =
-  | Next
-  | Cond_branch of { taken : bool; target : int }
-      (** [target] is the taken-path target. *)
-  | Uncond of int        (** direct jmp or call *)
-  | Indirect of int      (** resolved target of ret / indirect jmp / call *)
-  | Trap_syscall         (** EIP left pointing at the syscall instruction *)
+  | Next          (** fell through; EIP is the next instruction *)
+  | Branch
+      (** a control-transfer instruction (jmp, jcc taken or not, call,
+          ret, indirect jmp/call); EIP is already its successor *)
+  | Trap_syscall  (** EIP left pointing at the syscall instruction *)
   | Trap_halt
 
-type result = { insn : Isa.insn; len : int; control : control }
-
 type icache
-(** Decode cache (guest address -> decoded instruction).  Self-modifying
-    guest code is unsupported across the infrastructure. *)
+(** Decode cache (guest address -> decoded instruction): a direct-mapped
+    front over a table of every instruction decoded.  Self-modifying guest
+    code is unsupported across the infrastructure. *)
 
 val icache_create : unit -> icache
 val fetch : icache -> Memory.t -> int -> Isa.insn * int
 (** Decode (with caching) the instruction at the given guest address. *)
 
-val step : icache -> Cpu.t -> Memory.t -> result
+val step : icache -> Cpu.t -> Memory.t -> control
 (** Execute one instruction at [cpu.eip], updating [cpu] and memory and
     advancing EIP (except for traps, which leave EIP at the trapping
-    instruction; the caller advances by [len] after servicing). *)
+    instruction; the caller advances past it after servicing).  Allocates
+    nothing once the instruction is in the decode cache, except on the
+    paths that build tuples (multiply, divide) or floats (x87). *)
 
 val is_interp_only : Isa.insn -> bool
 (** Instructions the TOL never includes in translations and always defers to

@@ -1,21 +1,21 @@
 open Darco_guest
 
 let compute (k : Code.flkind) ~a ~b ~c =
-  let snd2 (_, f) = f in
+  let cf_in = c <> 0 in
   match k with
-  | Fl_add -> snd2 (Semantics.alu Add ~cf_in:false a b)
-  | Fl_adc -> snd2 (Semantics.alu Adc ~cf_in:(c <> 0) a b)
-  | Fl_sub -> snd2 (Semantics.alu Sub ~cf_in:false a b)
-  | Fl_sbb -> snd2 (Semantics.alu Sbb ~cf_in:(c <> 0) a b)
-  | Fl_logic -> snd2 (Semantics.alu Or ~cf_in:false a 0)
-  | Fl_shl -> snd2 (Semantics.shift Shl a ~count:b ~flags:c)
-  | Fl_shr -> snd2 (Semantics.shift Shr a ~count:b ~flags:c)
-  | Fl_sar -> snd2 (Semantics.shift Sar a ~count:b ~flags:c)
-  | Fl_rol -> snd2 (Semantics.shift Rol a ~count:b ~flags:c)
-  | Fl_ror -> snd2 (Semantics.shift Ror a ~count:b ~flags:c)
-  | Fl_inc -> snd2 (Semantics.inc a ~flags:c)
-  | Fl_dec -> snd2 (Semantics.dec a ~flags:c)
-  | Fl_neg -> snd2 (Semantics.neg a)
+  | Fl_add -> Semantics.alu_flags Add ~cf_in:false a b
+  | Fl_adc -> Semantics.alu_flags Adc ~cf_in a b
+  | Fl_sub -> Semantics.alu_flags Sub ~cf_in:false a b
+  | Fl_sbb -> Semantics.alu_flags Sbb ~cf_in a b
+  | Fl_logic -> Semantics.alu_flags Or ~cf_in:false a 0
+  | Fl_shl -> Semantics.shift_flags Shl a ~count:b ~flags:c
+  | Fl_shr -> Semantics.shift_flags Shr a ~count:b ~flags:c
+  | Fl_sar -> Semantics.shift_flags Sar a ~count:b ~flags:c
+  | Fl_rol -> Semantics.shift_flags Rol a ~count:b ~flags:c
+  | Fl_ror -> Semantics.shift_flags Ror a ~count:b ~flags:c
+  | Fl_inc -> Semantics.keep_cf c (Semantics.add_flags a 1 0)
+  | Fl_dec -> Semantics.keep_cf c (Semantics.sub_flags a 1 0)
+  | Fl_neg -> Semantics.sub_flags 0 a 0
   | Fl_mulu ->
     let _, _, f = Semantics.mul_u a b in
     f

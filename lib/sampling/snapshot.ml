@@ -738,7 +738,7 @@ let encode_code (ctl : Darco.Controller.t) =
     (fun w (a, v) ->
       B.int w a;
       B.int w v)
-    (sorted_tbl co.machine.sbuf);
+    (Machine.pending_bytes co.machine);
   B.list w
     (fun w (a, b) ->
       B.int w a;
@@ -782,11 +782,10 @@ let decode_code ?bus ~(reference : Interp_ref.t) payload : Darco.Controller.t =
   let mf = B.read_float_array r in
   if Array.length mr <> 64 || Array.length mf <> 32 then
     B.corrupt "host register file has wrong size";
-  let sbuf =
-    tbl_of_list
-      (B.read_list r (fun r ->
-           let a = B.read_int r in
-           (a, B.read_int r)))
+  let pending =
+    B.read_list r (fun r ->
+        let a = B.read_int r in
+        (a, B.read_int r))
   in
   let aliases =
     B.read_list r (fun r ->
@@ -795,7 +794,13 @@ let decode_code ?bus ~(reference : Interp_ref.t) payload : Darco.Controller.t =
   in
   let ckpt_r = B.read_int_array r in
   let ckpt_f = B.read_float_array r in
-  let machine : Machine.t = { r = mr; f = mf; mem; sbuf; aliases; ckpt_r; ckpt_f } in
+  let machine = Machine.create mem in
+  Array.blit mr 0 machine.r 0 64;
+  Array.blit mf 0 machine.f 0 32;
+  List.iter (fun (a, v) -> Machine.store machine W8 a v) pending;
+  machine.aliases <- aliases;
+  machine.ckpt_r <- ckpt_r;
+  machine.ckpt_f <- ckpt_f;
   let brk = B.read_int r in
   let tolmem = Darco.Tolmem.restore mem ~brk in
   let profile = Darco.Profile.unpersist tolmem (r_profile r) in

@@ -912,6 +912,14 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
   let have_work () =
     List.exists (fun s -> not (Queue.is_empty s.sb_todo)) !subs
   in
+  (* a planned submission with nothing queued or in flight picks its next
+     round at the next [plan_step] *)
+  let plan_ready () =
+    List.exists
+      (fun s ->
+        Option.is_some s.sb_plan && s.sb_inflight = 0 && Queue.is_empty s.sb_todo)
+      !subs
+  in
   Fun.protect
     ~finally:(fun () ->
       (* a final dump so short-lived (--max-submissions) daemons leave a
@@ -929,8 +937,11 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
       List.filter_map (fun c -> if c.c_alive then Some c.c_fd else None)
         !clients
     in
+    (* Idle, the select tick paces the loop; with work that can run now,
+       only poll, so back-to-back rounds do not wait out a tick. *)
+    let tick = if have_work () || plan_ready () then 0.0 else 0.25 in
     let rd, _, _ =
-      try Unix.select (lsock :: cfds) [] [] 0.25
+      try Unix.select (lsock :: cfds) [] [] tick
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     if List.mem lsock rd then accept_client ();

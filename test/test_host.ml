@@ -83,6 +83,214 @@ let test_guest_mapping_roundtrip () =
   cpu'.eip <- cpu.eip;
   Alcotest.(check bool) "roundtrip" true (Cpu.equal cpu cpu')
 
+(* --- exactness: the store log against the byte hash table ---------------- *)
+
+(* A test-only copy of the byte-level hash-table store buffer the store log
+   replaced: one entry per byte, commit probes every distinct page in hash
+   order, then writes byte by byte. *)
+module Oracle = struct
+  type t = { mem : Memory.t; sbuf : (int, int) Hashtbl.t; mutable aliases : (int * int) list }
+
+  exception Alias_violation
+
+  let create mem = { mem; sbuf = Hashtbl.create 16; aliases = [] }
+
+  let checkpoint t =
+    Hashtbl.reset t.sbuf;
+    t.aliases <- []
+
+  let rollback = checkpoint
+
+  let commit t =
+    if Hashtbl.length t.sbuf <> 0 then begin
+      let probed = ref [] in
+      Hashtbl.iter
+        (fun addr _ ->
+          let p = Memory.page_index addr in
+          if not (List.mem p !probed) then begin
+            ignore (Memory.read8 t.mem addr);
+            probed := p :: !probed
+          end)
+        t.sbuf;
+      Hashtbl.iter (fun addr v -> Memory.write8 t.mem addr v) t.sbuf;
+      Hashtbl.reset t.sbuf
+    end;
+    t.aliases <- []
+
+  let in_flight_stores t = Hashtbl.length t.sbuf
+
+  let load_byte t addr =
+    match Hashtbl.find_opt t.sbuf addr with Some v -> v | None -> Memory.read8 t.mem addr
+
+  let raw_load t (w : Isa.width) addr =
+    if Hashtbl.length t.sbuf = 0 then Memory.read t.mem w addr
+    else
+      match w with
+      | W8 -> load_byte t addr
+      | W16 -> load_byte t addr lor (load_byte t (addr + 1) lsl 8)
+      | W32 ->
+        load_byte t addr
+        lor (load_byte t (addr + 1) lsl 8)
+        lor (load_byte t (addr + 2) lsl 16)
+        lor (load_byte t (addr + 3) lsl 24)
+
+  let load t w ~signed addr =
+    let v = raw_load t w addr in
+    if signed then Semantics.sign_extend w v else v
+
+  let load_spec t w ~signed addr =
+    let v = load t w ~signed addr in
+    t.aliases <- (addr, Isa.width_bytes w) :: t.aliases;
+    v
+
+  let overlaps a la b lb = a < b + lb && b < a + la
+
+  let store t (w : Isa.width) addr v =
+    let len = Isa.width_bytes w in
+    if List.exists (fun (a, l) -> overlaps a l addr len) t.aliases then raise Alias_violation;
+    for i = 0 to len - 1 do
+      Hashtbl.replace t.sbuf (addr + i) ((v lsr (8 * i)) land 0xFF)
+    done
+end
+
+type sb_op =
+  | Store of Isa.width * int * int
+  | Load of Isa.width * bool * int
+  | Load_spec of Isa.width * bool * int
+  | Checkpoint
+  | Commit
+  | Rollback
+
+let sb_pages = [| 4; 5; 6; 7 |]
+
+(* The page a fault installs: the same contents on both sides. *)
+let sb_page idx = Bytes.init Memory.page_size (fun i -> Char.chr (((idx * 37) + (i * 11)) land 0xFF))
+
+let gen_sb_case seed =
+  let rng = Darco_util.Rng.create seed in
+  let module R = Darco_util.Rng in
+  let addr () =
+    (R.choose rng sb_pages * Memory.page_size) + R.in_range rng (-5) 4
+  in
+  let width () = R.choose rng [| Isa.W8; W16; W32 |] in
+  let present = List.filter (fun _ -> R.bool rng) (Array.to_list sb_pages) in
+  let ops =
+    List.init (5 + R.int rng 40) (fun _ ->
+        match R.int rng 20 with
+        | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 -> Store (width (), addr (), R.int rng 0x40000000 * 4 + R.int rng 4)
+        | 8 | 9 | 10 | 11 -> Load (width (), R.bool rng, addr ())
+        | 12 | 13 -> Load_spec (width (), R.bool rng, addr ())
+        | 14 -> Checkpoint
+        | 15 | 16 | 17 -> Commit
+        | _ -> Rollback)
+  in
+  (present, ops)
+
+type sb_outcome = Value of int | Aliased | Unit
+
+(* Run [f], servicing page faults the way the controller does (install the
+   page, retry), and report the pages it faulted on in order.  A faulting
+   attempt must have left memory as it found it. *)
+let with_faults mem f =
+  let image () =
+    List.map (fun p -> (p, Bytes.copy (Memory.get_page mem p))) (Memory.touched_pages mem)
+  in
+  let rec go faults =
+    let before = image () in
+    match f () with
+    | v -> (v, List.rev faults)
+    | exception Memory.Page_fault p ->
+      if List.length faults > 8 then Alcotest.fail "fault loop";
+      if image () <> before then QCheck.Test.fail_report "a fault left memory modified";
+      Memory.install_page mem p (sb_page p);
+      go (p :: faults)
+  in
+  go []
+
+let prop_store_log_matches_oracle =
+  QCheck.Test.make ~name:"store log = byte hash-table store buffer" ~count:1500
+    (QCheck.make QCheck.Gen.int) (fun seed ->
+      let present, ops = gen_sb_case seed in
+      let mk () =
+        let mem = Memory.create `Fault in
+        List.iter (fun p -> Memory.install_page mem p (sb_page p)) present;
+        mem
+      in
+      let mem_a = mk () and mem_b = mk () in
+      let a = Machine.create mem_a and b = Oracle.create mem_b in
+      List.iteri
+        (fun i op ->
+          let run_a () =
+            match op with
+            | Store (w, addr, v) -> (
+              match Machine.store a w addr v with
+              | () -> Unit
+              | exception Machine.Alias_violation -> Aliased)
+            | Load (w, signed, addr) -> Value (Machine.load a w ~signed addr)
+            | Load_spec (w, signed, addr) -> Value (Machine.load_spec a w ~signed addr)
+            | Checkpoint -> Machine.checkpoint a; Unit
+            | Commit -> Machine.commit a; Unit
+            | Rollback -> Machine.rollback a; Unit
+          in
+          let run_b () =
+            match op with
+            | Store (w, addr, v) -> (
+              match Oracle.store b w addr v with
+              | () -> Unit
+              | exception Oracle.Alias_violation -> Aliased)
+            | Load (w, signed, addr) -> Value (Oracle.load b w ~signed addr)
+            | Load_spec (w, signed, addr) -> Value (Oracle.load_spec b w ~signed addr)
+            | Checkpoint -> Oracle.checkpoint b; Unit
+            | Commit -> Oracle.commit b; Unit
+            | Rollback -> Oracle.rollback b; Unit
+          in
+          let ra, fa = with_faults mem_a run_a and rb, fb = with_faults mem_b run_b in
+          let fail what = QCheck.Test.fail_reportf "op %d: %s differs" i what in
+          if ra <> rb then fail "outcome";
+          (* a commit over several absent pages may meet them in another
+             order; loads meet them in the same one *)
+          (match op with
+          | Commit -> if List.sort compare fa <> List.sort compare fb then fail "fault set"
+          | _ -> if fa <> fb then fail "faults");
+          if Machine.in_flight_stores a <> Oracle.in_flight_stores b then fail "in-flight bytes")
+        ops;
+      Memory.touched_pages mem_a = Memory.touched_pages mem_b
+      && List.for_all (Memory.equal_page mem_a mem_b) (Memory.touched_pages mem_a))
+
+(* The byte view a snapshot stores: the newest value of every byte. *)
+let test_pending_bytes () =
+  let m, _ = fresh_machine () in
+  Machine.store m W32 0x1FFE 0x44332211;
+  Machine.store m W8 0x1FFF 0xAA;
+  Machine.store m W16 0x2001 0xBBCC;
+  Alcotest.(check (list (pair int int))) "byte view"
+    [ (0x1FFE, 0x11); (0x1FFF, 0xAA); (0x2000, 0x33); (0x2001, 0xCC); (0x2002, 0xBB) ]
+    (Machine.pending_bytes m);
+  Alcotest.(check int) "distinct bytes in flight" 5 (Machine.in_flight_stores m)
+
+(* A warm store/load/commit cycle, the region epilogue's work, allocates
+   nothing, however many stores a region gates. *)
+let test_store_log_allocation_free () =
+  let m, _ = fresh_machine () in
+  let cycle () =
+    Machine.checkpoint m;
+    for i = 0 to 99 do
+      Machine.store m W32 (0x1000 + (i * 4)) i;
+      Machine.store m W8 (0x1FFF - i) i
+    done;
+    ignore (Machine.load m W32 ~signed:false 0x1010);
+    ignore (Machine.load m W16 ~signed:true 0x1FFE);
+    Machine.commit m;
+    ignore (Machine.load m W32 ~signed:false 0x1010)
+  in
+  cycle ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0.0 then Alcotest.failf "100 store/commit cycles allocated %.0f minor words" words
+
 (* --- flagcalc vs shared semantics ---------------------------------------- *)
 
 let prop_flagcalc_add_sub =
@@ -357,6 +565,10 @@ let () =
             test_commit_page_fault_keeps_buffer;
           Alcotest.test_case "zero register" `Quick test_zero_register;
           Alcotest.test_case "guest mapping" `Quick test_guest_mapping_roundtrip;
+          QCheck_alcotest.to_alcotest prop_store_log_matches_oracle;
+          Alcotest.test_case "pending byte view" `Quick test_pending_bytes;
+          Alcotest.test_case "store log allocates nothing" `Quick
+            test_store_log_allocation_free;
         ] );
       ( "flagcalc",
         [

@@ -128,6 +128,38 @@ let test_functional_reference () =
 
 (* The sampling driver's fast-forward path must be bit-identical to the
    O(offset) [create_at] it replaces. *)
+(* The host store buffer is empty at every synchronization boundary, but a
+   snapshot must not lie if it is not: gated stores in flight survive an
+   encode/decode as the same byte view, and re-encode byte-identically. *)
+let test_store_buffer_roundtrip () =
+  let ctl = Controller.create ~cfg ~seed:3 (build "continuous") in
+  (match Controller.run ~max_insns:20_000 ctl with
+  | `Limit -> ()
+  | _ -> Alcotest.fail "expected limit");
+  let m = ctl.co.machine in
+  let mem = m.Darco_host.Machine.mem in
+  let page = List.hd (List.rev (Darco_guest.Memory.touched_pages mem)) in
+  let edge = Darco_guest.Memory.page_base page + Darco_guest.Memory.page_size in
+  let module M = Darco_host.Machine in
+  M.store m W32 (edge - 2) 0xA1B2C3D4;
+  M.store m W8 (edge - 1) 0x5E;
+  M.store m W16 (edge - 6) 0xBEEF;
+  M.store m W32 (edge - 5) 0x01020304;
+  let want = M.pending_bytes m in
+  let bytes = Snapshot.to_string (Snapshot.capture ctl) in
+  let back = Snapshot.restore (Snapshot.of_string bytes) in
+  let m' = back.co.machine in
+  Alcotest.(check (list (pair int int))) "byte view survives" want (M.pending_bytes m');
+  Alcotest.(check int) "bytes in flight" (M.in_flight_stores m) (M.in_flight_stores m');
+  List.iter
+    (fun a ->
+      Alcotest.(check int)
+        (Printf.sprintf "forwarded load at 0x%x" a)
+        (M.load m W32 ~signed:false a) (M.load m' W32 ~signed:false a))
+    [ edge - 8; edge - 6; edge - 5; edge - 4 ];
+  Alcotest.(check bool) "re-encodes byte-identically" true
+    (String.equal bytes (Snapshot.to_string (Snapshot.capture back)))
+
 let test_driver_matches_create_at () =
   let program = build "continuous" in
   let seed = 11 in
@@ -632,6 +664,7 @@ let () =
             (roundtrip_workload "continuous" [ 1_000; 40_000; 150_000 ]);
           Alcotest.test_case "timing pipeline" `Quick test_timing_roundtrip;
           Alcotest.test_case "functional reference" `Quick test_functional_reference;
+          Alcotest.test_case "stores in flight" `Quick test_store_buffer_roundtrip;
         ] );
       ( "driver",
         [ Alcotest.test_case "matches create_at" `Quick test_driver_matches_create_at ]

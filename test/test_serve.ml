@@ -589,6 +589,43 @@ let test_serve_adaptive_campaign () =
       | Event.Plan_stop { reason; _ } -> reason = "ci_target"
       | _ -> false))
 
+(* --- back-to-back rounds do not wait out the select tick --------------- *)
+
+(* Credit 1 over five windows needs five scheduling rounds.  The service
+   must start each round as soon as the last one lands: idling a 0.25 s
+   select tick between them would take a second for the pacing alone. *)
+let test_serve_rounds_unpaced () =
+  with_temp_dir @@ fun dir ->
+  let spec =
+    Campaign.normalize
+      { spec1 with offsets = [ 8_000; 12_000; 16_000; 20_000; 24_000 ] }
+  in
+  let pipe = Unix.pipe () in
+  let pid =
+    fork_client pipe (fun addr ->
+        let t0 = Unix.gettimeofday () in
+        match Client.submit addr spec with
+        | Ok (st, _) ->
+          write_file
+            (Filename.concat dir "rounds")
+            (Printf.sprintf "%d %.6f" st.Client.dispatched
+               (Unix.gettimeofday () -. t0))
+        | Error e -> write_file (Filename.concat dir "rounds.err") e)
+  in
+  let bus, events = collecting_bus () in
+  Serve.serve ~bus ~quiet:true ~jobs:1 ~credit:1 ~max_submissions:1
+    ~ready:(announce [ snd pipe ])
+    ~library:(Filename.concat dir "lib") ~host:"127.0.0.1" ~port:0 ();
+  wait pid;
+  let dispatched, secs =
+    Scanf.sscanf (must_read dir "rounds") "%d %f" (fun d s -> (d, s))
+  in
+  Alcotest.(check int) "every window dispatched" 5 dispatched;
+  Alcotest.(check bool) "one round per window" true
+    (count events (function Event.Admit _ -> true | _ -> false) >= 5);
+  if secs >= 4.0 *. 0.25 then
+    Alcotest.failf "five rounds took %.3f s: the loop idled between rounds" secs
+
 (* --- two concurrent clients share in-flight work ----------------------- *)
 
 let test_serve_concurrent_sharing () =
@@ -830,6 +867,8 @@ let () =
             test_serve_concurrent_sharing;
           Alcotest.test_case "adaptive campaign exits early" `Quick
             test_serve_adaptive_campaign;
+          Alcotest.test_case "rounds run back to back" `Quick
+            test_serve_rounds_unpaced;
         ] );
       ( "telemetry",
         [
