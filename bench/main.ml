@@ -887,7 +887,7 @@ let adaptive () =
   let ix = Sampling.Driver.index_of checkpoints in
   let phase_of off =
     Sampling.Snapshot.guest_eip
-      (Sampling.Driver.nearest_ix ix off).Sampling.Driver.snapshot
+      (Sampling.Driver.nearest_at ix off).Sampling.Driver.snapshot
   in
   let sweep backend =
     let plan =
@@ -1063,6 +1063,109 @@ let ablation_thresholds () =
 
 let library_summary : Darco_obs.Jsonx.t option ref = ref None
 
+(* Submit-to-DONE latency of a campaign the library already holds, against
+   a [darco serve] forked from this process (so the section must run while
+   the bench may still fork), in units of one checkpoint decode: a hit
+   should cost lookups only, and decoding the campaign's checkpoints on
+   every resubmit shows up as a ratio near their count.  The campaign is
+   perfbench's hot sweep: 429.mcf at scale 2 to its halt, 15 checkpoints,
+   4 windows.  Returns the p50 resubmit time and the mean decode time of
+   the campaign's checkpoints, both in microseconds. *)
+let resubmits = 60
+
+let resubmit_latency dir =
+  let module Campaign = Darco_serve.Campaign in
+  let module Library = Darco_serve.Library in
+  let spec =
+    Campaign.normalize
+      {
+        Campaign.bench = "429.mcf";
+        scale = 2;
+        seed = 42;
+        input = None;
+        interval = 50_000;
+        horizon = 731_000;
+        offsets = [ 90_000; 250_000; 410_000; 570_000 ];
+        window = 25_000;
+        warmup = 30_000;
+        ci_target = None;
+      }
+  in
+  let n = List.length spec.Campaign.offsets in
+  let r, w = Unix.pipe ~cloexec:true () in
+  flush_all ();
+  let pid =
+    match Unix.fork () with
+    | 0 ->
+      Unix.close r;
+      (try
+         Darco_serve.Serve.serve ~quiet:true ~jobs:2
+           ~ready:(fun sa ->
+             let port = match sa with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+             let line = string_of_int port ^ "\n" in
+             ignore (Unix.write_substring w line 0 (String.length line));
+             Unix.close w)
+           ~library:dir ~host:"127.0.0.1" ~port:0 ()
+       with _ -> ());
+      Unix._exit 0
+    | pid -> pid
+  in
+  Unix.close w;
+  let stop () =
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid)
+  in
+  Fun.protect ~finally:stop @@ fun () ->
+  let port =
+    let ic = Unix.in_channel_of_descr r in
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    match int_of_string_opt (String.trim (input_line ic)) with
+    | Some p when p > 0 -> p
+    | _ | (exception End_of_file) -> failwith "campaign daemon did not start"
+  in
+  let addr = { Darco_dispatch.host = "127.0.0.1"; port } in
+  let submit ~hits =
+    match Darco_serve.Client.submit ~timeout:120.0 addr spec with
+    | Ok (st, doc) when st.Darco_serve.Client.hits = hits -> doc
+    | Ok (st, _) ->
+      failwith
+        (Printf.sprintf "resubmit bench: %d of %d windows hit, expected %d"
+           st.Darco_serve.Client.hits n hits)
+    | Error e -> failwith ("resubmit bench: " ^ e)
+  in
+  let cold = submit ~hits:0 in
+  let times =
+    Array.init resubmits (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        let doc = submit ~hits:n in
+        let dt = Unix.gettimeofday () -. t0 in
+        if doc <> cold then failwith "resubmit bench: document differs from the cold submit";
+        dt *. 1e6)
+  in
+  Array.sort compare times;
+  let p50 = times.(resubmits / 2) in
+  (* the campaign's checkpoints, decoded the way a window run decodes them *)
+  let lib = Library.create ~dir () in
+  let images =
+    match
+      Library.find_checkpoints lib ~bench:spec.Campaign.bench
+        ~ckpt:(Campaign.ckpt_digest spec)
+    with
+    | Some pairs ->
+      List.map (fun (_, d) -> Option.get (Sampling.Store.find (Library.store lib) d)) pairs
+    | None -> failwith "resubmit bench: the campaign's checkpoint set is missing"
+  in
+  let rounds = 20 in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to rounds do
+    List.iter (fun b -> ignore (Sampling.Snapshot.of_string b)) images
+  done;
+  let decode_us =
+    (Unix.gettimeofday () -. t0) *. 1e6
+    /. float_of_int (rounds * List.length images)
+  in
+  (p50, decode_us)
+
 let library () =
   print_endline "=== Artifact library: window store and lookup costs ===";
   let module Library = Darco_serve.Library in
@@ -1136,8 +1239,15 @@ let library () =
   in
   Printf.printf "  %-12s %10.2f us/op\n" "store" (store_ns /. 1e3);
   Printf.printf "  %-12s %10.2f us/op\n" "warm lookup" (warm_ns /. 1e3);
-  Printf.printf "  %-12s %10.2f us/op (verified read)\n\n" "cold lookup"
+  Printf.printf "  %-12s %10.2f us/op (verified read)\n" "cold lookup"
     (cold_ns /. 1e3);
+  let resub_us, decode_us = resubmit_latency (Filename.concat dir "served") in
+  Printf.printf "  %-12s %10.2f us p50 over %d library-hit resubmits\n"
+    "resubmit" resub_us resubmits;
+  Printf.printf "  %-12s %10.2f us per checkpoint (Snapshot.of_string)\n"
+    "decode" decode_us;
+  Printf.printf "  %-12s %10.2f decodes' worth per resubmit\n\n" "ratio"
+    (resub_us /. decode_us);
   let open Darco_obs in
   library_summary :=
     Some
@@ -1147,6 +1257,10 @@ let library () =
            ("store_ns", Jsonx.Float store_ns);
            ("warm_lookup_ns", Jsonx.Float warm_ns);
            ("cold_lookup_ns", Jsonx.Float cold_ns);
+           ("resubmits", Jsonx.Int resubmits);
+           ("resubmit_us", Jsonx.Float resub_us);
+           ("checkpoint_decode_us", Jsonx.Float decode_us);
+           ("resubmit_per_decode", Jsonx.Float (resub_us /. decode_us));
          ])
 
 (* --- telemetry: the cost of being observed ------------------------------ *)

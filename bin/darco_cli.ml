@@ -359,9 +359,9 @@ let trace_cmd =
       $ Flag.seed)
 
 let regions_cmd =
-  let run bench scale max_insns seed =
+  let run bench scale max_insns seed cfg =
     let entry = Darco_workloads.Registry.find bench in
-    let ctl = Darco.Controller.create ~seed (entry.build ~scale ()) in
+    let ctl = Darco.Controller.create ~cfg ~seed (entry.build ~scale ()) in
     ignore (Darco.Controller.run ~max_insns ctl);
     (* dump the hottest region the code cache currently holds *)
     Printf.printf "code cache: %d regions, %d host insns\n"
@@ -384,7 +384,7 @@ let regions_cmd =
     Term.(
       const run $ Flag.bench $ Flag.scale
       $ Arg.(value & opt int 50_000 & info [ "max-insns" ] ~doc:"Window size")
-      $ Flag.seed)
+      $ Flag.seed $ config_term)
 
 let debug_cmd =
   let run bench scale seed fault =
@@ -634,7 +634,7 @@ let sample_cmd =
            planner, which picks the next windows where the variance is *)
         let ix = Driver.index_of checkpoints in
         let phase_of off =
-          Snapshot.guest_eip (Driver.nearest_ix ix off).Driver.snapshot
+          Snapshot.guest_eip (Driver.nearest_at ix off).Driver.snapshot
         in
         let planner = Plan.create ~bus plan_cfg ~candidates:offsets ~phase_of in
         let recorded = ref 0 in

@@ -180,14 +180,17 @@ let read_exact ?deadline fd n =
 
 let header_bytes = 4 + 8 + 8 (* tag, payload length, payload CRC *)
 
-let recv ?deadline fd =
-  let r = B.reader (read_exact ?deadline fd header_bytes) in
+(* The header's tag, payload length and CRC, the length bounded before
+   anything is allocated for the payload. *)
+let read_header r =
   let tag = B.read_tag4 r in
   let len = B.read_int r in
   let crc = B.read_int r in
   if len < 0 || len > max_frame then
     B.corrupt (Printf.sprintf "frame length %d out of bounds" len);
-  let payload = read_exact ?deadline fd len in
+  (tag, len, crc)
+
+let of_payload tag crc payload =
   if B.crc32 payload <> crc then B.corrupt "frame checksum mismatch";
   match tag with
   | "HELO" ->
@@ -281,3 +284,16 @@ let recv ?deadline fd =
     B.expect_end r;
     Health { json }
   | other -> B.corrupt (Printf.sprintf "unknown frame tag %S" other)
+
+let recv ?deadline fd =
+  let tag, len, crc =
+    read_header (B.reader (read_exact ?deadline fd header_bytes))
+  in
+  of_payload tag crc (read_exact ?deadline fd len)
+
+let decode s =
+  let r = B.reader s in
+  let tag, len, crc = read_header r in
+  let payload = B.read_raw r len in
+  B.expect_end r;
+  of_payload tag crc payload

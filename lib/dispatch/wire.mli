@@ -145,3 +145,8 @@ val recv : ?deadline:float -> Unix.file_descr -> msg
     blocking step; raises {!Timeout} when it passes, {!Closed} on EOF,
     {!Darco_sampling.Buf.Corrupt} on a malformed frame (including a [Ckpt]
     whose bytes do not hash to its claimed digest). *)
+
+val decode : string -> msg
+(** Decode exactly one frame held in a string ({!encode}'s inverse) with
+    {!recv}'s checks; a truncated frame or trailing bytes are
+    {!Darco_sampling.Buf.Corrupt} too. *)

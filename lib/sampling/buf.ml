@@ -13,7 +13,9 @@ let at_end r = r.pos = String.length r.data
 let expect_end r = if not (at_end r) then corrupt "trailing bytes"
 
 let need r n =
-  if n < 0 || r.pos + n > String.length r.data then
+  (* [n > remaining], not [pos + n > length]: a length field near
+     max_int must not overflow past the check *)
+  if n < 0 || n > String.length r.data - r.pos then
     corrupt
       (Printf.sprintf "truncated input (need %d bytes at offset %d of %d)" n
          r.pos (String.length r.data))

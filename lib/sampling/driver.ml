@@ -22,23 +22,21 @@ let functional_checkpoints ?input ~seed ~interval ~horizon program =
   done;
   List.rev !acc
 
-type index = checkpoint array
+type 'a sorted = { at_of : 'a -> int; items : 'a array }
 
-let index_of checkpoints =
-  if checkpoints = [] then invalid_arg "Driver.index_of: no checkpoints";
-  let a = Array.of_list checkpoints in
+let sort_by_at at_of xs =
+  if xs = [] then invalid_arg "Driver.sort_by_at: no checkpoints";
   (* stable on [at], so among equal-offset checkpoints the earliest in
      list order wins — the same tie-break the fold this replaced had *)
-  let keyed = Array.mapi (fun i ck -> (ck.at, i, ck)) a in
+  let keyed = Array.of_list (List.mapi (fun i x -> (at_of x, i, x)) xs) in
   Array.sort (fun (x, i, _) (y, j, _) ->
       match compare x y with 0 -> compare i j | c -> c)
     keyed;
-  Array.map (fun (_, _, ck) -> ck) keyed
+  { at_of; items = Array.map (fun (_, _, x) -> x) keyed }
 
-let nearest_ix ix target =
+let nearest_at { at_of; items = ix } target =
   let n = Array.length ix in
-  if n = 0 then invalid_arg "Driver.nearest_ix: empty index";
-  if ix.(0).at > target then
+  if at_of ix.(0) > target then
     (* no checkpoint at or before the target: settle for the earliest *)
     ix.(0)
   else begin
@@ -46,19 +44,20 @@ let nearest_ix ix target =
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = !lo + ((!hi - !lo + 1) / 2) in
-      if ix.(mid).at <= target then lo := mid else hi := mid - 1
+      if at_of ix.(mid) <= target then lo := mid else hi := mid - 1
     done;
     (* ... backed up to the first of an equal-[at] run *)
     let i = ref !lo in
-    while !i > 0 && ix.(!i - 1).at = ix.(!i).at do
+    while !i > 0 && at_of ix.(!i - 1) = at_of ix.(!i) do
       decr i
     done;
     ix.(!i)
   end
 
-let nearest checkpoints target =
-  if checkpoints = [] then invalid_arg "Driver.nearest: no checkpoints";
-  nearest_ix (index_of checkpoints) target
+let index_of checkpoints = sort_by_at (fun ck -> ck.at) checkpoints
+let nearest checkpoints target = nearest_at (index_of checkpoints) target
+
+let window_start ~offset ~warmup = max 0 (offset - warmup)
 
 let reference_at checkpoints target =
   let ck = nearest checkpoints target in
@@ -88,7 +87,7 @@ let detailed_window ?(cfg = Darco.Config.default)
      the whole measurement window in one step.  Clamp the slice fuel so the
      warm-up/window edges land (nearly) where requested. *)
   let cfg = { cfg with Darco.Config.slice_fuel = min cfg.Darco.Config.slice_fuel 2_000 } in
-  let start = max 0 (offset - warmup) in
+  let start = window_start ~offset ~warmup in
   let from = (nearest checkpoints start).at in
   let t0 = Darco_obs.Clock.ticks () in
   let bus = Darco_obs.Bus.create () in

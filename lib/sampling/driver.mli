@@ -21,25 +21,33 @@ val functional_checkpoints :
     checkpoint at instruction 0 and then every [interval] instructions.
     Sorted by [at], ascending. *)
 
-type index
-(** Checkpoints sorted by [at] into an array, so repeated nearest-checkpoint
-    queries (one per window the adaptive planner considers) cost
-    O(log n) instead of the O(n) fold each [nearest] call pays. *)
+type 'a sorted
+(** Items carrying an instruction count, sorted by it into an array, so
+    repeated nearest-checkpoint queries (one per window a campaign
+    admits or the adaptive planner considers) cost O(log n) instead of
+    an O(n) fold.  The one nearest-checkpoint rule: it serves decoded
+    checkpoints ({!index_of}) and the [(at, digest)] pairs the campaign
+    service admits from alike. *)
 
-val index_of : checkpoint list -> index
-(** Sort the checkpoints into a query index.  Stable on [at]: among
-    equal-offset checkpoints the earliest in list order wins, matching
-    [nearest].  Raises [Invalid_argument] on an empty list. *)
+val sort_by_at : ('a -> int) -> 'a list -> 'a sorted
+(** Sort the items by their instruction count.  Stable on it: among
+    equal-count items the earliest in list order wins.  Raises
+    [Invalid_argument] on an empty list. *)
 
-val nearest_ix : index -> int -> checkpoint
-(** Binary search for the latest checkpoint at or before the target
-    instruction count (the earliest checkpoint when none qualifies) —
-    the same answer [nearest] gives on the list the index was built
-    from. *)
+val nearest_at : 'a sorted -> int -> 'a
+(** Binary search for the latest item at or before the target
+    instruction count — the earliest item when none qualifies. *)
+
+val index_of : checkpoint list -> checkpoint sorted
+(** [sort_by_at] over the checkpoints' [at]. *)
 
 val nearest : checkpoint list -> int -> checkpoint
 (** The latest checkpoint at or before the target instruction count.
     Raises [Invalid_argument] on an empty list. *)
+
+val window_start : offset:int -> warmup:int -> int
+(** Where a window's detailed run begins: [offset - warmup], clamped at
+    0.  Its nearest checkpoint is the one the window restores from. *)
 
 val reference_at : checkpoint list -> int -> Interp_ref.t
 (** An x86 component advanced to exactly the target count: restore the

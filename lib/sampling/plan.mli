@@ -63,7 +63,7 @@ val create :
   ?bus:Darco_obs.Bus.t -> config -> candidates:int list -> phase_of:(int -> int) -> t
 (** A planner over the candidate window offsets.  [phase_of] maps an
     offset to its stratum id — callers pass the guest PC of the nearest
-    functional checkpoint ({!Driver.nearest_ix} + {!Snapshot.guest_eip}),
+    functional checkpoint ({!Driver.nearest_at} + {!Snapshot.guest_eip}),
     which is backend-independent.  Duplicate candidates are dropped.
     When [bus] is given and active the planner emits [Plan_round],
     [Plan_predict] and [Plan_stop] events as it decides. *)

@@ -21,8 +21,7 @@ let check_params ~window ~warmup who =
   if warmup < 0 then invalid_arg (who ^ ": warmup < 0")
 
 let pick_checkpoint ~checkpoints ~offset ~warmup =
-  let start = max 0 (offset - warmup) in
-  Driver.nearest checkpoints start
+  Driver.nearest checkpoints (Driver.window_start ~offset ~warmup)
 
 let of_window ~checkpoints ~label ~offset ~window ~warmup =
   check_params ~window ~warmup "Work.of_window";
@@ -35,11 +34,17 @@ let of_window ~checkpoints ~label ~offset ~window ~warmup =
     warmup;
   }
 
+let of_digest ~digest ~label ~offset ~window ~warmup =
+  check_params ~window ~warmup "Work.of_digest";
+  if not (Store.is_digest digest) then
+    invalid_arg (Printf.sprintf "Work.of_digest: malformed digest %S" digest);
+  { label; ckpt = Stored digest; offset; window; warmup }
+
 let of_window_stored ~store ~checkpoints ~label ~offset ~window ~warmup =
   check_params ~window ~warmup "Work.of_window_stored";
   let ck = pick_checkpoint ~checkpoints ~offset ~warmup in
-  let d = Store.add store (Snapshot.to_string ck.Driver.snapshot) in
-  { label; ckpt = Stored d; offset; window; warmup }
+  let digest = Store.add store (Snapshot.to_string ck.Driver.snapshot) in
+  of_digest ~digest ~label ~offset ~window ~warmup
 
 let digest t = match t.ckpt with Inline _ -> None | Stored d -> Some d
 

@@ -60,6 +60,15 @@ val of_window_stored :
     unit carries only their digest ({!Stored}).  Results are byte-identical
     to the inline form — the store resolves to the exact same bytes. *)
 
+val of_digest :
+  digest:string -> label:string -> offset:int -> window:int -> warmup:int -> t
+(** A {!Stored} unit for a checkpoint already in a store, chosen by the
+    caller with the same rule: the [Driver.nearest_at] checkpoint of
+    [Driver.window_start ~offset ~warmup].  Nothing is encoded or
+    decoded.  Raises [Invalid_argument] on the parameters
+    {!of_window_stored} rejects, and on a [digest] that is not
+    {!Store.is_digest}-shaped (the wire decoder would refuse the unit). *)
+
 val digest : t -> string option
 (** The checkpoint digest of a {!Stored} unit; [None] for {!Inline}. *)
 

@@ -187,9 +187,18 @@ let find_checkpoints t ~bench ~ckpt =
       B.read_list r (fun r ->
           let at = B.read_int r in
           let digest = B.read_str r in
+          (* the digest names a spill file and, once admitted, a window
+             key and a wire work unit: refuse anything not digest-shaped *)
+          if not (Store.is_digest digest) then
+            B.corrupt
+              (Printf.sprintf "%s: checkpoint index holds malformed digest %S"
+                 (Filename.basename path) digest);
           (at, digest))
     in
     B.expect_end r;
+    if entries = [] then
+      B.corrupt
+        (Printf.sprintf "%s: empty checkpoint index" (Filename.basename path));
     if f_bench <> bench || f_ckpt <> ckpt then
       B.corrupt
         (Printf.sprintf "%s: checkpoint index does not match its key"
@@ -198,12 +207,7 @@ let find_checkpoints t ~bench ~ckpt =
        under its byte budget, and a partial checkpoint set is useless —
        the sweep would silently pick farther-away checkpoints and change
        its warm-up.  Absent any entry, report the whole set missing. *)
-    let rec resolve acc = function
-      | [] -> Some (List.rev acc)
-      | (at, digest) :: tl -> (
-        match Store.find t.store digest with
-        | Some bytes -> resolve ((at, bytes) :: acc) tl
-        | None -> None)
-    in
-    resolve [] entries
+    if List.for_all (fun (_, digest) -> Store.find t.store digest <> None) entries
+    then Some entries
+    else None
   end

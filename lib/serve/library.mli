@@ -69,9 +69,13 @@ val put_window : t -> key -> string -> unit
 val find_checkpoints :
   t -> bench:string -> ckpt:string -> (int * string) list option
 (** The checkpoint set stored under {!Campaign.ckpt_digest} [ckpt]:
-    [(at, snapshot bytes)] pairs in ascending [at] order, every entry
-    re-verified against its digest.  [None] when the index is absent or
-    any referenced snapshot has been evicted from the store. *)
+    [(at, store digest)] pairs in ascending [at] order.  Every entry is
+    resolved through the store, so LRU recency is refreshed and cold
+    reads are re-verified against their digest, but nothing is decoded:
+    the snapshot bytes stay in {!store}.  [None] when the index is absent
+    or any referenced snapshot has been evicted from the store.  Raises
+    {!Darco_sampling.Buf.Corrupt} on a damaged index, including an entry
+    that is not {!Darco_sampling.Store.is_digest}-shaped. *)
 
 val put_checkpoints :
   t -> bench:string -> ckpt:string -> (int * string) list -> unit

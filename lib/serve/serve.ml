@@ -324,9 +324,12 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
       sub.sb_slots;
     maybe_finalize sub
   in
-  (* The sweep's checkpoint set: restored from the library when a prior
-     campaign stored it (skipping the functional fast-forward entirely),
-     regenerated — and stored for the next campaign — otherwise. *)
+  (* The sweep's checkpoint set as [(at, digest)] pairs: restored from
+     the library when a prior campaign stored it (skipping the functional
+     fast-forward entirely), regenerated — and stored for the next
+     campaign — otherwise.  Either way every snapshot is encoded once, by
+     the fast-forward that made it, and decoded only where a window runs
+     or the planner asks for its phase (DESIGN.md §12). *)
   let obtain_checkpoints (spec : Campaign.t) (entry : Registry.entry) ckd =
     let bench = spec.Campaign.bench in
     let fast_forward () =
@@ -337,32 +340,48 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
           ~horizon:spec.Campaign.horizon program
       in
       let total = ref 0 in
+      (* pinned while the set is being added, so a tight byte budget cannot
+         evict its first snapshots to make room for its last *)
       let entries =
         List.map
           (fun (c : Driver.checkpoint) ->
             let bytes = Snapshot.to_string c.Driver.snapshot in
             total := !total + String.length bytes;
-            (c.Driver.at, Store.add store bytes))
+            let d = Store.add store bytes in
+            Store.pin store d;
+            (c.Driver.at, d))
           cps
       in
+      List.iter (fun (_, d) -> Store.unpin store d) entries;
       Library.put_checkpoints lib ~bench ~ckpt:ckd entries;
       emit bus
         (Event.Artifact_store
            { key = checkpoint_set_key bench ckd; bytes = !total });
-      cps
+      entries
     in
     match Library.find_checkpoints lib ~bench ~ckpt:ckd with
     | Some pairs ->
       emit bus (Event.Artifact_hit { key = checkpoint_set_key bench ckd });
       log "restored %d checkpoints for %s from the library" (List.length pairs)
         bench;
-      List.map
-        (fun (at, bytes) -> { Driver.at; snapshot = Snapshot.of_string bytes })
-        pairs
+      pairs
     | None -> fast_forward ()
     | exception B.Corrupt msg ->
       log "checkpoint index for %s unreadable (%s); regenerating" bench msg;
       fast_forward ()
+  in
+  (* A window's library key: its snapshot is the nearest checkpoint of
+     the set (sorted [(at, digest)] pairs) to where its warm-up starts. *)
+  let window_key (spec : Campaign.t) ix offset =
+    let warmup = spec.Campaign.warmup in
+    {
+      Library.bench = spec.Campaign.bench;
+      cfg = Campaign.config_digest spec;
+      snap = snd (Driver.nearest_at ix (Driver.window_start ~offset ~warmup));
+      offset;
+      window = spec.Campaign.window;
+      warmup;
+    }
   in
   let admit c id sweep_str =
     match
@@ -397,31 +416,16 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
           (Span.begin_ ~detail:(Campaign.describe spec) ~span:"submission"
              ~corr:(span_corr_base + seq) ~host:"serve" ());
         log "submission #%d from %s: %s" seq c.c_peer (Campaign.describe spec);
-        let cfg = Campaign.config_digest spec in
         let ckd = Campaign.ckpt_digest spec in
-        let checkpoints = obtain_checkpoints spec entry ckd in
+        let ix = Driver.sort_by_at fst (obtain_checkpoints spec entry ckd) in
+        let keys = Array.map (window_key spec ix) offsets in
         let works =
           Array.map
-            (fun off ->
-              Work.of_window_stored ~store ~checkpoints
-                ~label:(Printf.sprintf "%s@%d" spec.Campaign.bench off)
-                ~offset:off ~window:spec.Campaign.window
-                ~warmup:spec.Campaign.warmup)
-            offsets
-        in
-        let keys =
-          Array.init n (fun i ->
-              {
-                Library.bench = spec.Campaign.bench;
-                cfg;
-                snap =
-                  (match Work.digest works.(i) with
-                  | Some d -> d
-                  | None -> assert false (* of_window_stored is always Stored *));
-                offset = offsets.(i);
-                window = spec.Campaign.window;
-                warmup = spec.Campaign.warmup;
-              })
+            (fun (k : Library.key) ->
+              Work.of_digest ~digest:k.snap
+                ~label:(Printf.sprintf "%s@%d" k.bench k.offset)
+                ~offset:k.offset ~window:k.window ~warmup:k.warmup)
+            keys
         in
         let planned = Option.is_some spec.Campaign.ci_target in
         let sub =
@@ -490,10 +494,20 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
             (fun i a -> if a = `Cand then candidates := offsets.(i) :: !candidates)
             actions;
           (* the stratum of a window is the program phase — the guest PC —
-             at its nearest checkpoint, exactly the CLI planner's marker *)
-          let ix = Driver.index_of checkpoints in
+             at its nearest checkpoint, exactly the CLI planner's marker;
+             each checkpoint asked about is decoded once *)
+          let phases = Hashtbl.create 16 in
           let phase_of off =
-            Snapshot.guest_eip (Driver.nearest_ix ix off).Driver.snapshot
+            let d = snd (Driver.nearest_at ix off) in
+            match Hashtbl.find_opt phases d with
+            | Some eip -> eip
+            | None ->
+              (* resolved by [obtain_checkpoints] just now, and nothing
+                 has been added to the store since *)
+              let bytes = Option.get (Store.find store d) in
+              let eip = Snapshot.guest_eip (Snapshot.of_string bytes) in
+              Hashtbl.replace phases d eip;
+              eip
           in
           sub.sb_plan <-
             Some
@@ -593,32 +607,13 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
       with
       | None -> miss ""
       | Some pairs -> (
-        (* latest checkpoint at or before the warm-up start — the same
-           choice Work.of_window makes when building the unit *)
-        let target = max 0 (offset - spec.Campaign.warmup) in
-        match
-          List.fold_left
-            (fun acc (at, bytes) -> if at <= target then Some bytes else acc)
-            None pairs
-        with
-        | None -> miss ""
-        | Some bytes -> (
-          let k =
-            {
-              Library.bench = spec.Campaign.bench;
-              cfg = Campaign.config_digest spec;
-              snap = Store.digest bytes;
-              offset;
-              window = spec.Campaign.window;
-              warmup = spec.Campaign.warmup;
-            }
-          in
-          match try Library.find_window lib k with B.Corrupt _ -> None with
-          | Some text ->
-            emit bus (Event.Artifact_hit { key = Library.render k });
-            send_to c
-              (Wire.Artifact { id = offset; key = Library.render k; json = text })
-          | None -> miss (Library.render k))))
+        let k = window_key spec (Driver.sort_by_at fst pairs) offset in
+        match try Library.find_window lib k with B.Corrupt _ -> None with
+        | Some text ->
+          emit bus (Event.Artifact_hit { key = Library.render k });
+          send_to c
+            (Wire.Artifact { id = offset; key = Library.render k; json = text })
+        | None -> miss (Library.render k)))
   in
   (* The HLTH document: everything `darco top` renders.  Worker rows and
      campaign rows are sorted so the document is a deterministic

@@ -62,7 +62,15 @@ let test_nearest_matches_fold () =
     in
     let want = reference_nearest checkpoints target in
     Driver.nearest checkpoints target == want
-    && Driver.nearest_ix (Driver.index_of checkpoints) target == want
+    && Driver.nearest_at (Driver.index_of checkpoints) target == want
+    (* the same rule over the (at, digest)-style pairs serve admits *)
+    && snd
+         (Driver.nearest_at
+            (Driver.sort_by_at fst
+               (List.map (fun (ck : Driver.checkpoint) -> (ck.Driver.at, ck))
+                  checkpoints))
+            target)
+       == want
   in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:500

@@ -209,6 +209,10 @@ let test_corrupted_snapshot () =
   expect_corrupt "future version" (Bytes.to_string future);
   (* trailing garbage *)
   expect_corrupt "trailing bytes" (good ^ "extra");
+  (* a section length near max_int must not overflow the bounds check *)
+  let huge = Bytes.of_string good in
+  Bytes.set_int64_le huge 11 (Int64.of_int max_int);
+  expect_corrupt "section length max_int" (Bytes.to_string huge);
   (* and the good bytes still restore fine afterwards *)
   let resumed = Snapshot.restore (Snapshot.of_string good) in
   expect_done "good bytes resume" (Controller.run resumed)

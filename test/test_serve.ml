@@ -326,13 +326,23 @@ let test_library_checkpoints () =
   let d1 = Store.add (Library.store lib) b1 in
   Library.put_checkpoints lib ~bench:"continuous" ~ckpt:ck
     [ (0, d0); (10_000, d1) ];
-  Alcotest.(check bool) "set restored in order, bytes verified" true
+  Alcotest.(check bool) "set restored in order, as digests" true
     (Library.find_checkpoints lib ~bench:"continuous" ~ckpt:ck
-    = Some [ (0, b0); (10_000, b1) ]);
+    = Some [ (0, d0); (10_000, d1) ]);
   let cold = Library.create ~dir () in
   Alcotest.(check bool) "cold restore identical" true
     (Library.find_checkpoints cold ~bench:"continuous" ~ckpt:ck
-    = Some [ (0, b0); (10_000, b1) ]);
+    = Some [ (0, d0); (10_000, d1) ]);
+  Alcotest.(check bool) "cold restore resolves the digests to the bytes" true
+    (Store.find (Library.store cold) d0 = Some b0
+    && Store.find (Library.store cold) d1 = Some b1);
+  (* a CRC-valid index whose entry is not a digest must not reach the
+     store's spill path: it reads as corrupt, like any damaged index *)
+  let bad = Store.digest "another campaign" in
+  Library.put_checkpoints lib ~bench:"continuous" ~ckpt:bad [ (0, "../x") ];
+  (match Library.find_checkpoints cold ~bench:"continuous" ~ckpt:bad with
+  | _ -> Alcotest.fail "accepted a checkpoint index entry that is no digest"
+  | exception B.Corrupt _ -> ());
   (* an evicted snapshot poisons the whole set: a partial restore would
      silently change warm-up distances, so the set reports absent *)
   Sys.remove (Filename.concat (Filename.concat dir "ckpt") (d1 ^ ".dsnp"));
@@ -626,6 +636,138 @@ let test_serve_rounds_unpaced () =
   if secs >= 4.0 *. 0.25 then
     Alcotest.failf "five rounds took %.3f s: the loop idled between rounds" secs
 
+(* --- admission is digest-first ------------------------------------------ *)
+
+(* Submit [spec], fetch each of its windows, then resubmit it (the
+   second submission ends a [~max_submissions:2] service); the client
+   writes the first submission's stats line, every artifact it streamed
+   and every fetch answer under [dir]. *)
+let submit_then_fetch dir spec addr =
+  let save name s = write_file (Filename.concat dir name) s in
+  let streamed = ref [] in
+  (match
+     Client.submit
+       ~on_artifact:(fun ~key:_ ~json -> streamed := json :: !streamed)
+       addr spec
+   with
+  | Ok (st, _) ->
+    save "submit.stats"
+      (Printf.sprintf "%d %d %d %d" st.Client.done_ st.Client.total
+         st.Client.hits st.Client.dispatched)
+  | Error e -> save "submit.err" e);
+  List.iteri (fun i j -> save (Printf.sprintf "streamed.%d" i) j) !streamed;
+  List.iter
+    (fun off ->
+      match Client.fetch addr spec ~offset:off with
+      | Ok (Some j) -> save (Printf.sprintf "fetch.%d" off) j
+      | Ok None -> save (Printf.sprintf "fetch.%d.err" off) "miss"
+      | Error e -> save (Printf.sprintf "fetch.%d.err" off) e)
+    spec.Campaign.offsets;
+  ignore (Client.submit addr spec)
+
+let serve_one ?bus dir libdir spec =
+  let pipe = Unix.pipe () in
+  let pid = fork_client pipe (submit_then_fetch dir spec) in
+  Serve.serve ?bus ~quiet:true ~jobs:2 ~max_submissions:2
+    ~ready:(announce [ snd pipe ])
+    ~library:libdir ~host:"127.0.0.1" ~port:0 ();
+  wait pid
+
+let streamed dir n =
+  List.sort compare
+    (List.init n (fun i -> must_read dir (Printf.sprintf "streamed.%d" i)))
+
+(* A library hit must cost lookups only.  The checkpoint "snapshots" here
+   are bytes no snapshot decoder accepts — the store is content-addressed
+   and takes any bytes — so the submission succeeds only if admission
+   never decodes (or re-encodes) a checkpoint. *)
+let test_serve_hit_decodes_nothing () =
+  with_temp_dir @@ fun dir ->
+  let libdir = Filename.concat dir "lib" in
+  let lib = Library.create ~dir:libdir () in
+  let pairs =
+    List.init 5 (fun i ->
+        let at = i * 10_000 in
+        (at, Store.add (Library.store lib) (Printf.sprintf "not a DSNP @%d" at)))
+  in
+  Library.put_checkpoints lib ~bench:"continuous"
+    ~ckpt:(Campaign.ckpt_digest spec1) pairs;
+  (* offsets 8000/16000/24000 warm up from 7000/15000/23000 *)
+  let texts =
+    List.map2
+      (fun off at ->
+        let json = Printf.sprintf "{\"offset\":%d,\"ipc\":1.5}" off in
+        Library.put_window lib
+          {
+            Library.bench = "continuous";
+            cfg = Campaign.config_digest spec1;
+            snap = List.assoc at pairs;
+            offset = off;
+            window = 2_000;
+            warmup = 1_000;
+          }
+          json;
+        (off, json))
+      spec1.Campaign.offsets [ 0; 10_000; 20_000 ]
+  in
+  serve_one dir libdir spec1;
+  Alcotest.(check (list int)) "all hits, zero dispatched" [ 3; 3; 3; 0 ]
+    (let a, b, c, d = parse_stats (must_read dir "submit.stats") in
+     [ a; b; c; d ]);
+  Alcotest.(check (list string)) "the stored artifacts were streamed"
+    (List.sort compare (List.map snd texts))
+    (streamed dir 3);
+  List.iter
+    (fun (off, json) ->
+      Alcotest.(check string) (Printf.sprintf "fetch %d" off) json
+        (must_read dir (Printf.sprintf "fetch.%d" off)))
+    texts
+
+(* A CRC-valid checkpoint index holding a path instead of a digest is a
+   damaged index: the service regenerates the set and the campaign runs
+   as if the library were empty. *)
+let test_serve_malformed_index_regenerates () =
+  with_temp_dir @@ fun dir ->
+  let libdir = Filename.concat dir "lib" in
+  let lib = Library.create ~dir:libdir () in
+  let ckpt = Campaign.ckpt_digest spec1 in
+  Library.put_checkpoints lib ~bench:"continuous" ~ckpt [ (0, "../x") ];
+  let bus, events = collecting_bus () in
+  serve_one ~bus dir libdir spec1;
+  Alcotest.(check (list int)) "every window dispatched" [ 3; 3; 0; 3 ]
+    (let a, b, c, d = parse_stats (must_read dir "submit.stats") in
+     [ a; b; c; d ]);
+  Alcotest.(check int) "the checkpoint set was stored afresh" 1
+    (count events (function
+      | Event.Artifact_store { key; _ } -> has_prefix "ckpts:" key
+      | _ -> false));
+  Alcotest.(check bool) "the regenerated index reads back" true
+    (match
+       Library.find_checkpoints (Library.create ~dir:libdir ())
+         ~bench:"continuous" ~ckpt
+     with
+    | Some pairs -> List.length pairs = 5
+    | None -> false)
+
+(* Fetch picks a window's checkpoint by the same rule admission does: a
+   fetch of every window after a cold submit returns what the submit
+   streamed, including a window whose warm-up would start before
+   instruction 0 and one whose warm-up starts exactly on a checkpoint. *)
+let test_serve_fetch_matches_submit () =
+  with_temp_dir @@ fun dir ->
+  let spec = Campaign.normalize { spec1 with offsets = [ 500; 11_000; 24_000 ] } in
+  serve_one dir (Filename.concat dir "lib") spec;
+  Alcotest.(check (list int)) "cold submit dispatched every window"
+    [ 3; 3; 0; 3 ]
+    (let a, b, c, d = parse_stats (must_read dir "submit.stats") in
+     [ a; b; c; d ]);
+  Alcotest.(check (list string)) "fetches return the streamed artifacts"
+    (streamed dir 3)
+    (List.sort compare
+       (List.map
+          (fun off -> must_read dir (Printf.sprintf "fetch.%d" off))
+          spec.Campaign.offsets))
+
 (* --- two concurrent clients share in-flight work ----------------------- *)
 
 let test_serve_concurrent_sharing () =
@@ -869,6 +1011,12 @@ let () =
             test_serve_adaptive_campaign;
           Alcotest.test_case "rounds run back to back" `Quick
             test_serve_rounds_unpaced;
+          Alcotest.test_case "a library hit decodes no snapshot" `Quick
+            test_serve_hit_decodes_nothing;
+          Alcotest.test_case "malformed checkpoint index regenerates" `Quick
+            test_serve_malformed_index_regenerates;
+          Alcotest.test_case "fetch agrees with submit" `Quick
+            test_serve_fetch_matches_submit;
         ] );
       ( "telemetry",
         [
