@@ -111,12 +111,9 @@ let payload_of = function
     B.contents w
 
 let encode msg =
-  let payload = payload_of msg in
   let w = B.writer () in
   B.tag4 w (tag_of msg);
-  B.int w (String.length payload);
-  B.int w (B.crc32 payload);
-  B.raw w payload;
+  B.seal w (payload_of msg);
   B.contents w
 
 let is_closed_error = function
@@ -178,20 +175,7 @@ let read_exact ?deadline fd n =
   in
   go 0
 
-let header_bytes = 4 + 8 + 8 (* tag, payload length, payload CRC *)
-
-(* The header's tag, payload length and CRC, the length bounded before
-   anything is allocated for the payload. *)
-let read_header r =
-  let tag = B.read_tag4 r in
-  let len = B.read_int r in
-  let crc = B.read_int r in
-  if len < 0 || len > max_frame then
-    B.corrupt (Printf.sprintf "frame length %d out of bounds" len);
-  (tag, len, crc)
-
-let of_payload tag crc payload =
-  if B.crc32 payload <> crc then B.corrupt "frame checksum mismatch";
+let of_payload tag payload =
   match tag with
   | "HELO" ->
     let r = B.reader payload in
@@ -285,15 +269,19 @@ let of_payload tag crc payload =
     Health { json }
   | other -> B.corrupt (Printf.sprintf "unknown frame tag %S" other)
 
+(* The tag and the seal's length and CRC arrive first; the sealed reader
+   bounds the length before [read_exact] allocates for the payload. *)
+let header_bytes = 4 + 8 + 8
+
 let recv ?deadline fd =
-  let tag, len, crc =
-    read_header (B.reader (read_exact ?deadline fd header_bytes))
-  in
-  of_payload tag crc (read_exact ?deadline fd len)
+  let r = B.reader (read_exact ?deadline fd header_bytes) in
+  let tag = B.read_tag4 r in
+  of_payload tag
+    (B.read_sealed ~max:max_frame ~source:(read_exact ?deadline fd) r)
 
 let decode s =
   let r = B.reader s in
-  let tag, len, crc = read_header r in
-  let payload = B.read_raw r len in
+  let tag = B.read_tag4 r in
+  let payload = B.read_sealed ~max:max_frame r in
   B.expect_end r;
-  of_payload tag crc payload
+  of_payload tag payload

@@ -28,17 +28,6 @@ let resolve host =
     | exception Not_found ->
       invalid_arg (Printf.sprintf "cannot resolve host %S" host))
 
-let write_whole path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let read_whole path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 type child = { c_id : int; c_path : string }
 
 (* One connection: a select/waitpid loop multiplexing incoming frames with
@@ -84,10 +73,10 @@ let serve_connection ~quiet ~ident ~engine ~exec ~jobs ~store fd =
       | 0 ->
         let code =
           try
-            write_whole path (Jsonx.to_string (exec work));
+            B.write_file path (Jsonx.to_string (exec work));
             0
           with e ->
-            (try write_whole path (Printexc.to_string e) with _ -> ());
+            (try B.write_file path (Printexc.to_string e) with _ -> ());
             3
         in
         Unix._exit code
@@ -139,13 +128,13 @@ let serve_connection ~quiet ~ident ~engine ~exec ~jobs ~store fd =
           let msg =
             match status with
             | Unix.WEXITED 0 -> (
-              match read_whole c.c_path with
+              match B.read_file c.c_path with
               | text -> Wire.Result { id = c.c_id; text; spans = "" }
               | exception Sys_error m ->
                 Wire.Fail { id = c.c_id; reason = "result unreadable: " ^ m })
             | Unix.WEXITED 3 ->
               let reason =
-                try read_whole c.c_path with Sys_error _ -> "unit failed"
+                try B.read_file c.c_path with Sys_error _ -> "unit failed"
               in
               Wire.Fail { id = c.c_id; reason }
             | Unix.WEXITED n ->

@@ -67,21 +67,20 @@ val exposition : snapshot -> string
 (** {1 Bus fold} *)
 
 val apply : t -> at:int -> Event.t -> unit
-(** Fold one event into the registry ([Agg.apply] for metrics): machine
-    events feed counters that reconcile exactly with {!Stats.t}
-    ({!reconciles}), infrastructure events feed service counters, the
-    per-worker [dispatch_inflight{worker=..}] gauges, the
-    [straggler_ratio_pct] gauge and the byte-size histograms.  The match
-    is total: adding an {!Event.t} constructor forces a decision here.
-    Partially apply ([let f = apply t in ...]) to reuse the registered
-    cells across events. *)
+(** Fold one event into the registry.  The simulated-machine counters
+    ([guest_insns_total], [translations_total], ...) are read-only views
+    of a {!Stats.t} the registry owns and {!Agg.apply} folds, so they
+    agree with an {!Agg} aggregate of the same stream by construction;
+    the views are registered by the first [apply t].  Like {!Agg}, that
+    fold is single-writer: emit from one domain at a time.  [events_total],
+    [divergences_total] and the infrastructure events keep cells of their
+    own: service counters, the per-worker [dispatch_inflight{worker=..}]
+    gauges, the [straggler_ratio_pct] gauge and the byte-size histograms.
+    The match is total: adding an {!Event.t} constructor forces a
+    decision here.  Partially apply ([let f = apply t in ...]) to reuse
+    the registered cells across events. *)
 
 val attach : Bus.t -> t
 (** [Agg.attach]-style: create a registry and subscribe {!apply} as a
     bus sink named ["registry"], so the registry is exactly
     reconstructible from the event stream. *)
-
-val reconciles : t -> Stats.t -> (unit, string) result
-(** Check the event-fed machine counters against an independently
-    aggregated {!Stats.t} from the same bus ([Prof.reconciles] for the
-    registry); [Error] names the first counter that disagrees. *)

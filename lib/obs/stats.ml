@@ -7,7 +7,7 @@ type overhead =
   | Ov_cc_lookup
   | Ov_other
 
-let overhead_index = function
+let[@inline] overhead_index = function
   | Ov_interp -> 0
   | Ov_bb_translate -> 1
   | Ov_sb_translate -> 2
@@ -89,7 +89,9 @@ let create () =
     unrolled_superblocks = 0;
   }
 
-let charge t cat n = t.overhead.(overhead_index cat) <- t.overhead.(overhead_index cat) + n
+let charge t cat n =
+  let i = overhead_index cat in
+  t.overhead.(i) <- t.overhead.(i) + n
 let overhead_of t cat = t.overhead.(overhead_index cat)
 let total_overhead t = Array.fold_left ( + ) 0 t.overhead
 let guest_total t = t.guest_im + t.guest_bbm + t.guest_sbm

@@ -145,3 +145,45 @@ let crc32 s =
     (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
     s;
   !crc lxor 0xFFFFFFFF
+
+let seal w payload =
+  int w (String.length payload);
+  int w (crc32 payload);
+  raw w payload
+
+let read_sealed ?max ?source r =
+  let len = read_int r in
+  let crc = read_int r in
+  (match max with
+  | Some m when len > m ->
+    corrupt (Printf.sprintf "sealed length %d exceeds the bound %d" len m)
+  | _ -> ());
+  let payload =
+    match source with
+    | None -> read_raw r len
+    | Some fetch ->
+      if len < 0 then corrupt "negative sealed length";
+      fetch len
+  in
+  if crc32 payload <> crc then corrupt "checksum mismatch";
+  payload
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let tmp = path ^ ".tmp" in
+  try
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc s;
+        close_out oc);
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e

@@ -80,3 +80,30 @@ val read_float_array : reader -> float array
 
 val crc32 : string -> int
 (** CRC-32 (IEEE 802.3 polynomial) of the whole string, in [0, 2^32). *)
+
+(** {1 The sealed container}
+
+    Every framed format (DSNP sections, DWRK, DART/DCKI library files,
+    wire frames) seals its payload the same way:
+    [payload length (i64 LE) | CRC-32 of payload (i64 LE) | payload]. *)
+
+val seal : writer -> string -> unit
+
+val read_sealed : ?max:int -> ?source:(int -> string) -> reader -> string
+(** Read a sealed payload.  The length is bounded by [max] when given and
+    the payload's CRC is checked; {!Corrupt} otherwise.  The payload is
+    read from the reader, bounded by the input left, unless [source]
+    supplies it: [source len] returns exactly [len] bytes from elsewhere
+    (a socket after its frame header). *)
+
+(** {1 Whole files} *)
+
+val read_file : string -> string
+(** The whole file; [Sys_error]/[End_of_file] as [open_in_bin] raises
+    them. *)
+
+val write_file : string -> string -> unit
+(** Write-then-rename: the bytes go to [path ^ ".tmp"], which is renamed
+    onto [path], so a reader sees the old file or the new one, never a
+    torn one.  The channel is closed on every path and the temporary is
+    removed if anything fails; the exception is re-raised. *)

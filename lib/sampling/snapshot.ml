@@ -1231,9 +1231,7 @@ let to_string t =
   List.iter
     (fun (tag, payload) ->
       B.tag4 w tag;
-      B.int w (String.length payload);
-      B.int w (B.crc32 payload);
-      B.raw w payload)
+      B.seal w payload)
     t.sections;
   B.contents w
 
@@ -1252,12 +1250,7 @@ let of_string s =
   let sections =
     List.init nsections (fun _ ->
         let tag = B.read_tag4 r in
-        let len = B.read_int r in
-        let crc = B.read_int r in
-        let payload = B.read_raw r len in
-        if B.crc32 payload <> crc then
-          B.corrupt (Printf.sprintf "section %S fails its checksum" tag);
-        (tag, payload))
+        (tag, B.read_sealed r))
   in
   B.expect_end r;
   let t = { snap_kind; sections } in
@@ -1276,12 +1269,7 @@ let write_file path t =
     (fun () -> output_string oc (to_string t))
 
 let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match B.read_file path with
   | s -> of_string s
   | exception Sys_error msg -> B.corrupt msg
   | exception End_of_file -> B.corrupt "unexpected end of file"

@@ -196,22 +196,6 @@ let enforce_budget t ~keep =
       evicted
   | _ -> ()
 
-let write_whole path s =
-  (* write-then-rename so a crashed writer never leaves a short file that
-     would fail digest verification on every later read *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s);
-  Sys.rename tmp path
-
-let read_whole path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Map the spill file read-only.  The mapping is shared machine-wide
    through the page cache: ten worker processes cold-reading the same
    digest fault in one set of physical pages. *)
@@ -237,7 +221,7 @@ let add t bytes =
   | None -> ()
   | Some dir ->
     let path = path_of dir d in
-    if fresh && not (Sys.file_exists path) then write_whole path bytes;
+    if fresh && not (Sys.file_exists path) then Buf.write_file path bytes;
     locked t (fun () -> touch_spilled t d (String.length bytes));
     enforce_budget t ~keep:d);
   d
@@ -262,7 +246,7 @@ let find t d =
           | exception Unix.Unix_error _ -> None
           | ba -> Some (Off_heap ba))
         | Heap -> (
-          match read_whole path with
+          match Buf.read_file path with
           | exception Sys_error _ -> None
           | bytes -> Some (In_heap bytes))
       in

@@ -5,23 +5,12 @@ module Span = Darco_obs.Span
 type outcome = Ok of Jsonx.t | Failed of string
 type result = { label : string; outcome : outcome }
 
-let write_whole path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let read_whole path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Exit codes used by workers: 0 = the temp file holds the JSON result,
    3 = the temp file holds an error description. *)
 let run_child f item path =
   match
-    try write_whole path (Jsonx.to_string (f item)); 0
-    with e -> (try write_whole path (Printexc.to_string e) with _ -> ()); 3
+    try Buf.write_file path (Jsonx.to_string (f item)); 0
+    with e -> (try Buf.write_file path (Printexc.to_string e) with _ -> ()); 3
   with
   | code -> Unix._exit code
   | exception _ -> Unix._exit 3
@@ -29,12 +18,12 @@ let run_child f item path =
 let collect path status =
   match status with
   | Unix.WEXITED 0 -> (
-    match Jsonx.parse (read_whole path) with
+    match Jsonx.parse (Buf.read_file path) with
     | json -> Ok json
     | exception Jsonx.Parse_error msg -> Failed ("worker result unreadable: " ^ msg)
     | exception Sys_error msg -> Failed ("worker result unreadable: " ^ msg))
   | Unix.WEXITED 3 ->
-    let reason = try read_whole path with Sys_error _ -> "" in
+    let reason = try Buf.read_file path with Sys_error _ -> "" in
     Failed (if reason = "" then "worker failed" else "worker failed: " ^ reason)
   | Unix.WEXITED n -> Failed (Printf.sprintf "worker exited with code %d" n)
   | Unix.WSIGNALED s -> Failed (Printf.sprintf "worker killed by signal %d" s)

@@ -68,13 +68,10 @@ let to_string t =
       B.str p d;
       version
   in
-  let payload = B.contents p in
   let w = B.writer () in
   B.tag4 w magic;
   B.u8 w v;
-  B.int w (String.length payload);
-  B.int w (B.crc32 payload);
-  B.raw w payload;
+  B.seal w (B.contents p);
   B.contents w
 
 let of_string s =
@@ -83,11 +80,8 @@ let of_string s =
   let v = B.read_u8 r in
   if v <> 1 && v <> version then
     B.corrupt (Printf.sprintf "unsupported work-unit version %d" v);
-  let len = B.read_int r in
-  let crc = B.read_int r in
-  let payload = B.read_raw r len in
+  let payload = B.read_sealed r in
   B.expect_end r;
-  if B.crc32 payload <> crc then B.corrupt "work-unit checksum mismatch";
   let r = B.reader payload in
   let label = B.read_str r in
   let offset = B.read_int r in

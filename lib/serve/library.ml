@@ -47,50 +47,34 @@ let store t = t.store
 
 (* --- framed artifact files --------------------------------------------- *)
 
-(* Same container discipline as DSNP: [tag4 | payload length (i64 LE) |
-   CRC-32 (i64 LE) | payload], written whole to a temporary name and
-   renamed into place so a crash mid-write leaves either the old file or
-   none — never a torn one. *)
-
-let header_bytes = 4 + 8 + 8
+(* [tag4 | Buf.seal payload], the sealed container DSNP sections use,
+   written through [Buf.write_file] so a crash mid-write leaves either the
+   old file or none — never a torn one. *)
 
 let write_framed path tag payload =
   let w = B.writer () in
   B.tag4 w tag;
-  B.int w (String.length payload);
-  B.int w (B.crc32 payload);
-  B.raw w payload;
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (B.contents w));
-  Sys.rename tmp path
+  B.seal w payload;
+  B.write_file path (B.contents w)
 
+(* Whatever stops a file from reading back — an I/O error (a directory in
+   its place), a short file, a wrong tag or a broken seal — is [Corrupt]
+   naming the file, so the caller regenerates the artifact. *)
 let read_framed path tag =
-  let ic = open_in_bin path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+  let corrupt msg =
+    B.corrupt (Printf.sprintf "%s: %s" (Filename.basename path) msg)
   in
-  if String.length s < header_bytes then
-    B.corrupt (Printf.sprintf "%s: truncated artifact" (Filename.basename path));
-  let r = B.reader s in
-  let t = B.read_tag4 r in
-  if t <> tag then
-    B.corrupt
-      (Printf.sprintf "%s: bad artifact magic %S" (Filename.basename path) t);
-  let len = B.read_int r in
-  let crc = B.read_int r in
-  if len <> String.length s - header_bytes then
-    B.corrupt
-      (Printf.sprintf "%s: artifact length mismatch" (Filename.basename path));
-  let payload = B.read_raw r len in
-  if B.crc32 payload <> crc then
-    B.corrupt
-      (Printf.sprintf "%s: artifact checksum mismatch" (Filename.basename path));
-  payload
+  match
+    let r = B.reader (B.read_file path) in
+    let t = B.read_tag4 r in
+    if t <> tag then B.corrupt (Printf.sprintf "bad artifact magic %S" t);
+    let payload = B.read_sealed r in
+    B.expect_end r;
+    payload
+  with
+  | payload -> payload
+  | exception (B.Corrupt msg | Sys_error msg) -> corrupt msg
+  | exception End_of_file -> corrupt "unexpected end of file"
 
 (* --- window results ---------------------------------------------------- *)
 

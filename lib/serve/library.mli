@@ -60,11 +60,12 @@ val store : t -> Darco_sampling.Store.t
 
 val find_window : t -> key -> string option
 (** The stored JSON text for the key, or [None].  Cold reads re-verify
-    framing, CRC, the embedded key and the content digest; corruption
-    raises {!Darco_sampling.Buf.Corrupt}. *)
+    framing, CRC, the embedded key and the content digest; corruption,
+    or a file that cannot be read, raises {!Darco_sampling.Buf.Corrupt}. *)
 
 val put_window : t -> key -> string -> unit
-(** Persist one window's JSON text (write-then-rename; idempotent). *)
+(** Persist one window's JSON text ({!Darco_sampling.Buf.write_file};
+    idempotent).  Raises [Sys_error] when the file cannot be written. *)
 
 val find_checkpoints :
   t -> bench:string -> ckpt:string -> (int * string) list option
@@ -74,10 +75,11 @@ val find_checkpoints :
     reads are re-verified against their digest, but nothing is decoded:
     the snapshot bytes stay in {!store}.  [None] when the index is absent
     or any referenced snapshot has been evicted from the store.  Raises
-    {!Darco_sampling.Buf.Corrupt} on a damaged index, including an entry
-    that is not {!Darco_sampling.Store.is_digest}-shaped. *)
+    {!Darco_sampling.Buf.Corrupt} on a damaged or unreadable index,
+    including an entry that is not {!Darco_sampling.Store.is_digest}-shaped. *)
 
 val put_checkpoints :
   t -> bench:string -> ckpt:string -> (int * string) list -> unit
 (** Persist a checkpoint index of [(at, store digest)] pairs.  The
-    snapshot bytes themselves must already be in {!store}. *)
+    snapshot bytes themselves must already be in {!store}.  Raises
+    [Sys_error] when the file cannot be written. *)

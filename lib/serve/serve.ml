@@ -124,6 +124,12 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
       fmt
   in
   let lib = Library.create ?bus ?max_bytes ~dir:library () in
+  (* The library is a cache: an artifact that cannot be written (a
+     directory in its place, a full disk) is logged and recomputed next
+     time, never fatal to the daemon. *)
+  let persist what write =
+    try write () with Sys_error msg -> log "could not store %s: %s" what msg
+  in
   let store = Library.store lib in
   let backend =
     match workers with
@@ -171,15 +177,8 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
     update_service_gauges ();
     Reg.exposition (Reg.snapshot reg)
   in
-  (* write-then-rename, the Library.write_framed discipline: a scraper
-     never reads a torn exposition *)
-  let dump_metrics path =
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc (metrics_text ());
-    close_out oc;
-    Sys.rename tmp path
-  in
+  (* write-then-rename: a scraper never reads a torn exposition *)
+  let dump_metrics path = B.write_file path (metrics_text ()) in
   let next_dump = ref 0.0 in
   let send_to c msg =
     if c.c_alive then
@@ -353,10 +352,10 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
           cps
       in
       List.iter (fun (_, d) -> Store.unpin store d) entries;
-      Library.put_checkpoints lib ~bench ~ckpt:ckd entries;
-      emit bus
-        (Event.Artifact_store
-           { key = checkpoint_set_key bench ckd; bytes = !total });
+      let key = checkpoint_set_key bench ckd in
+      persist key (fun () ->
+          Library.put_checkpoints lib ~bench ~ckpt:ckd entries;
+          emit bus (Event.Artifact_store { key; bytes = !total }));
       entries
     in
     match Library.find_checkpoints lib ~bench ~ckpt:ckd with
@@ -795,10 +794,11 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
             match r.Sweep.outcome with
             | Sweep.Ok json ->
               let s = Jsonx.to_string json in
-              Library.put_window lib p.p_key s;
-              emit bus
-                (Event.Artifact_store
-                   { key = Library.render p.p_key; bytes = String.length s });
+              let key = Library.render p.p_key in
+              persist key (fun () ->
+                  Library.put_window lib p.p_key s;
+                  emit bus
+                    (Event.Artifact_store { key; bytes = String.length s }));
               s
             | Sweep.Failed _ -> ""
           in

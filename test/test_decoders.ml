@@ -111,9 +111,7 @@ let split_framed s = (String.sub s 0 4, String.sub s 20 (String.length s - 20))
 let framed tag payload =
   let w = B.writer () in
   B.tag4 w tag;
-  B.int w (String.length payload);
-  B.int w (B.crc32 payload);
-  B.raw w payload;
+  B.seal w payload;
   B.contents w
 
 (* A format under test: its fixtures, how a mutated payload is sealed
@@ -137,9 +135,7 @@ let reseal_work ~pick:_ s mutate =
   let payload = mutate (String.sub s 21 (String.length s - 21)) in
   let w = B.writer () in
   B.raw w (String.sub s 0 5);
-  B.int w (String.length payload);
-  B.int w (B.crc32 payload);
-  B.raw w payload;
+  B.seal w payload;
   B.contents w
 
 (* DSNP: a 7-byte header, then per section [tag4 | length | CRC |
@@ -150,9 +146,7 @@ let reseal_snapshot ~pick s mutate =
   let sections =
     List.init nsec (fun _ ->
         let tag = B.read_tag4 r in
-        let len = B.read_int r in
-        ignore (B.read_int r);
-        (tag, B.read_raw r len))
+        (tag, B.read_sealed r))
   in
   let victim = pick mod nsec in
   let w = B.writer () in
@@ -161,9 +155,7 @@ let reseal_snapshot ~pick s mutate =
     (fun i (tag, payload) ->
       let payload = if i = victim then mutate payload else payload in
       B.tag4 w tag;
-      B.int w (String.length payload);
-      B.int w (B.crc32 payload);
-      B.raw w payload)
+      B.seal w payload)
     sections;
   B.contents w
 
@@ -182,8 +174,43 @@ let rec rm path =
   end
   else Sys.remove path
 
-let lib_dir = lazy (temp_dir ())
+(* The committed DART/DCKI fixtures were written by the library under
+   these keys; their store images are the bytes the index names. *)
+let window_key =
+  {
+    Library.bench = "429.mcf";
+    cfg = Store.digest "config";
+    snap = Store.digest "snapshot";
+    offset = 130_000;
+    window = 25_000;
+    warmup = 30_000;
+  }
+
+let ckpt = Store.digest "checkpoint set"
+let images = List.map (Printf.sprintf "image %d") [ 0; 50_000; 100_000 ]
+let window_path dir = Filename.concat dir (Library.key_id window_key ^ ".dart")
+let ckpt_path dir = Filename.concat dir ("ckpts_" ^ ckpt ^ ".dcki")
+
+(* A library directory whose store holds the index's images. *)
+let lib_dir =
+  lazy
+    (let dir = temp_dir () in
+     let store = Library.store (Library.create ~dir ()) in
+     List.iter (fun b -> ignore (Store.add store b)) images;
+     dir)
+
 let () = at_exit (fun () -> if Lazy.is_val lib_dir then rm (Lazy.force lib_dir))
+
+(* Decode through a cold library, the way a restarted service reads. *)
+let find_window s =
+  let dir = Lazy.force lib_dir in
+  write_file (window_path dir) s;
+  Library.find_window (Library.create ~dir ()) window_key
+
+let find_checkpoints s =
+  let dir = Lazy.force lib_dir in
+  write_file (ckpt_path dir) s;
+  Library.find_checkpoints (Library.create ~dir ()) ~bench:"429.mcf" ~ckpt
 
 let spec =
   {
@@ -199,39 +226,12 @@ let spec =
     ci_target = None;
   }
 
-let ckpt = Campaign.ckpt_digest spec
-let ckpt_path () = Filename.concat (Lazy.force lib_dir) ("ckpts_" ^ ckpt ^ ".dcki")
+let wire_v4 =
+  [ "wire_subm_v4.bin"; "wire_stat_v4.bin"; "wire_artf_v4.bin"; "wire_done_v4.bin" ]
 
-let window_key =
-  {
-    Library.bench = "429.mcf";
-    cfg = Campaign.config_digest spec;
-    snap = Store.digest "snapshot";
-    offset = 130_000;
-    window = 25_000;
-    warmup = 30_000;
-  }
-
-let window_path () =
-  Filename.concat (Lazy.force lib_dir) (Library.key_id window_key ^ ".dart")
-
-(* The library's own writers produce the fixtures, so the property tracks
-   the format they write. *)
-let library_fixtures =
-  lazy
-    (let lib = Library.create ~dir:(Lazy.force lib_dir) () in
-     let store = Library.store lib in
-     let entries =
-       List.map (fun at -> (at, Store.add store (Printf.sprintf "image %d" at)))
-         [ 0; 50_000; 100_000 ]
-     in
-     Library.put_checkpoints lib ~bench:"429.mcf" ~ckpt entries;
-     Library.put_window lib window_key
-       {|{"offset":130000,"window":25000,"ipc":1.5,"cycles":16123}|};
-     (read_file (ckpt_path ()), read_file (window_path ())))
+let wire_v5 = [ "wire_metr_v5.bin"; "wire_hlth_v5.bin"; "wire_rslt_v5.bin" ]
 
 let formats () =
-  let dcki, dart = Lazy.force library_fixtures in
   [
     {
       name = "DSNP";
@@ -264,33 +264,75 @@ let formats () =
     };
     {
       name = "DCKI";
-      fixtures = [ dcki ];
+      fixtures = [ fixture "library_ckpts_v1.dcki" ];
       reseal = reseal_framed;
-      decode =
-        (fun s ->
-          write_file (ckpt_path ()) s;
-          let lib = Library.create ~dir:(Lazy.force lib_dir) () in
-          ignore (Library.find_checkpoints lib ~bench:"429.mcf" ~ckpt));
+      decode = (fun s -> ignore (find_checkpoints s));
     };
     {
       name = "DART";
-      fixtures = [ dart ];
+      fixtures = [ fixture "library_window_v1.dart" ];
       reseal = reseal_framed;
-      decode =
-        (fun s ->
-          write_file (window_path ()) s;
-          let lib = Library.create ~dir:(Lazy.force lib_dir) () in
-          ignore (Library.find_window lib window_key));
+      decode = (fun s -> ignore (find_window s));
     };
     {
       name = "wire v4";
-      fixtures =
-        List.map fixture
-          [ "wire_subm_v4.bin"; "wire_stat_v4.bin"; "wire_artf_v4.bin"; "wire_done_v4.bin" ];
+      fixtures = List.map fixture wire_v4;
+      reseal = reseal_framed;
+      decode = (fun s -> ignore (Wire.decode s));
+    };
+    {
+      name = "wire v5";
+      fixtures = List.map fixture wire_v5;
       reseal = reseal_framed;
       decode = (fun s -> ignore (Wire.decode s));
     };
   ]
+
+(* --- golden fixtures: decode, then re-encode the same bytes ------------- *)
+
+let same_bytes name golden encoded =
+  Alcotest.(check bool) (name ^ " re-encodes byte-identically") true
+    (String.equal golden encoded)
+
+let test_golden_roundtrip () =
+  List.iter
+    (fun name ->
+      let b = fixture name in
+      same_bytes name b (Snapshot.to_string (Snapshot.of_string b)))
+    [ "mcf_40k_functional_v1.dsnp"; "mcf_40k_full_v1.dsnp" ];
+  List.iter
+    (fun name ->
+      let b = fixture name in
+      same_bytes name b (Work.to_string (Work.of_string b)))
+    [ "mcf_40k_work_v1.dwrk"; "mcf_40k_work_v2.dwrk" ];
+  List.iter
+    (fun name ->
+      let b = fixture name in
+      same_bytes name b (Wire.encode (Wire.decode b)))
+    (wire_v4 @ wire_v5);
+  (match Wire.decode (fixture "wire_rslt_v5.bin") with
+  | Wire.Result { spans; _ } ->
+    Alcotest.(check bool) "the RSLT span log is not empty" true (spans <> "");
+    same_bytes "RSLT span log" spans
+      (Darco_obs.Span.encode_list (Darco_obs.Span.decode_list spans))
+  | _ -> Alcotest.fail "the RSLT fixture decoded to another frame");
+  (* library files: read back cold, then written by a fresh library *)
+  let fresh = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm fresh) @@ fun () ->
+  let lib = Library.create ~dir:fresh () in
+  let dart = fixture "library_window_v1.dart" in
+  (match find_window dart with
+  | Some json -> Library.put_window lib window_key json
+  | None -> Alcotest.fail "the DART fixture did not read back");
+  same_bytes "library_window_v1.dart" dart (read_file (window_path fresh));
+  let dcki = fixture "library_ckpts_v1.dcki" in
+  (match find_checkpoints dcki with
+  | Some entries ->
+    Alcotest.(check (list string)) "the index names the store's images"
+      (List.map Store.digest images) (List.map snd entries);
+    Library.put_checkpoints lib ~bench:"429.mcf" ~ckpt entries
+  | None -> Alcotest.fail "the DCKI fixture did not read back");
+  same_bytes "library_ckpts_v1.dcki" dcki (read_file (ckpt_path fresh))
 
 (* --- the property ------------------------------------------------------- *)
 
@@ -330,6 +372,9 @@ let test_format f () =
 let () =
   Alcotest.run "decoders"
     [
+      ( "golden",
+        [ Alcotest.test_case "decode then re-encode" `Quick test_golden_roundtrip ]
+      );
       ( "totality",
         List.map
           (fun f -> Alcotest.test_case f.name `Quick (test_format f))

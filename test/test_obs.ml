@@ -609,14 +609,40 @@ let test_registry_json_roundtrip () =
     Alcotest.(check string) "and renders the same exposition"
       (Registry.exposition s) (Registry.exposition s')
 
+(* The event-fed machine counters must equal the core's own statistics,
+   each derived here from the [Stats.t] fields independently of the
+   registry. *)
 let test_registry_reconciles name () =
   let reg = ref None in
   let ctl, _ =
     run_with_bus ~attach:(fun bus -> reg := Some (Registry.attach bus)) name
   in
-  match Registry.reconciles (Option.get !reg) (Controller.stats ctl) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "registry drift on %s: %s" name e
+  let counters = (Registry.snapshot (Option.get !reg)).Registry.counters in
+  let s = Controller.stats ctl in
+  let overhead = Array.fold_left ( + ) 0 s.Stats.overhead in
+  List.iter
+    (fun (counter, want) ->
+      match List.assoc_opt counter counters with
+      | None -> Alcotest.failf "%s: registry has no %s" name counter
+      | Some got ->
+        Alcotest.(check int) (Printf.sprintf "%s %s" name counter) want got)
+    [
+      ("guest_insns_total", s.Stats.guest_im + s.guest_bbm + s.guest_sbm);
+      ("host_app_insns_total", s.host_app_bbm + s.host_app_sbm);
+      ("overhead_cycles_total", overhead);
+      ("translations_total", s.bb_translations + s.sb_translations);
+      ("rollbacks_total", s.assert_rollbacks + s.alias_rollbacks);
+      ("deopts_total", s.sb_rebuilds_noassert + s.sb_rebuilds_nomem);
+      ("syscalls_total", s.syscalls);
+      ("validations_total", s.validations);
+      ("chains_made_total", s.chains_made);
+      ("chains_followed_total", s.chains_followed);
+      ("wasted_host_insns_total", s.wasted_host);
+      ("code_cache_flushes_total", s.code_cache_flushes);
+      ("page_installs_total", s.page_requests);
+      ("ibtc_misses_total", s.ibtc_misses);
+      ("ibtc_fills_total", s.ibtc_fills);
+    ]
 
 (* The registry is a pure fold over the event stream: replaying a
    recorded stream into a fresh registry must land on the same snapshot
@@ -640,6 +666,41 @@ let test_registry_rebuild () =
   Alcotest.(check string) "replayed snapshot identical to the live one"
     (Jsonx.to_string (Registry.to_json live))
     (Jsonx.to_string (Registry.to_json (Registry.snapshot rebuilt)))
+
+(* The committed v5 METR fixture carries the snapshot the registry reached
+   on this mixed machine/service stream when its machine counters were
+   still a hand fold; the views over [Agg]'s fold must reproduce it. *)
+let test_registry_metr_golden () =
+  let ic = open_in_bin "fixtures/wire_metr_v5.bin" in
+  let frame =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let golden =
+    match Darco_dispatch.Wire.decode frame with
+    | Darco_dispatch.Wire.Metrics { json } -> json
+    | _ -> Alcotest.fail "the METR fixture decoded to another frame"
+  in
+  let bus = Bus.create () in
+  let reg = Registry.attach bus in
+  let w = "127.0.0.1:9471" and label = "429.mcf@130000" in
+  List.iteri
+    (fun i ev -> Bus.emit bus ~at:(i * 1000) ev)
+    [
+      Event.Init { cost = 120 };
+      Event.Interp_block { pc = 0x1000; insns = 14; cost = 700 };
+      Event.Bb_translated { pc = 0x1000; guest_len = 14; host_len = 30; cost = 900 };
+      Event.Chain_made { pc = 0x1000 };
+      Event.Worker_up { worker = w };
+      Event.Dispatch_sent { unit_label = label; worker = w; attempt = 0; bytes = 2048 };
+      Event.Dispatch_inflight { worker = w; in_flight = 1 };
+      Event.Dispatch_done { unit_label = label; worker = w; ok = true };
+      Event.Artifact_store { key = "429.mcf@130000/1f2e3d4c"; bytes = 87 };
+    ];
+  Alcotest.(check string) "snapshot identical to the pinned METR payload"
+    golden
+    (Jsonx.to_string (Registry.to_json (Registry.snapshot reg)))
 
 (* --- flight recorder ----------------------------------------------------- *)
 
@@ -953,6 +1014,8 @@ let () =
              test_registry_json_roundtrip
         :: Alcotest.test_case "rebuilt from the event stream" `Quick
              test_registry_rebuild
+        :: Alcotest.test_case "pinned by the v5 METR fixture" `Quick
+             test_registry_metr_golden
         :: List.map
              (fun w ->
                Alcotest.test_case ("reconciles with Stats.t: " ^ w) `Quick

@@ -452,6 +452,13 @@ let read_file path =
 let test_golden_corpus () =
   let module J = Darco_obs.Jsonx in
   let decode name = Snapshot.of_string (read_file (Filename.concat "fixtures" name)) in
+  (* and re-encode to the very bytes they were read from *)
+  List.iter
+    (fun name ->
+      let b = read_file (Filename.concat "fixtures" name) in
+      Alcotest.(check bool) (name ^ " re-encodes byte-identically") true
+        (String.equal b (Snapshot.to_string (Snapshot.of_string b))))
+    [ "mcf_40k_functional_v1.dsnp"; "mcf_40k_full_v1.dsnp" ];
   let fn = decode "mcf_40k_functional_v1.dsnp" in
   Alcotest.(check string) "functional manifest stable"
     {|{"version":1,"kind":"functional","retired":40000,"sections":[{"tag":"GUST","bytes":16674,"crc32":3925566016}]}|}
@@ -465,6 +472,75 @@ let test_golden_corpus () =
   expect_done "full fixture resumes" (Controller.run ctl);
   Alcotest.(check (option int)) "resumed exit code" (Some 1)
     (Controller.exit_code ctl)
+
+(* The one sealed container every framed format uses: the length is
+   bounded (by the input left, or by [max] before a [source] is asked for
+   anything) and the checksum checked. *)
+let test_sealed_container () =
+  let sealed payload =
+    let w = Buf.writer () in
+    Buf.seal w payload;
+    Buf.contents w
+  in
+  let s = sealed "payload" in
+  Alcotest.(check string) "round trip" "payload" (Buf.read_sealed (Buf.reader s));
+  let expect_corrupt what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Buf.Corrupt _ -> ()
+  in
+  expect_corrupt "over the bound" (fun () ->
+      Buf.read_sealed ~max:6 (Buf.reader s));
+  expect_corrupt "short input" (fun () ->
+      Buf.read_sealed (Buf.reader (String.sub s 0 (String.length s - 1))));
+  let flipped = Bytes.of_string s in
+  Bytes.set flipped 16 'P';
+  expect_corrupt "checksum" (fun () ->
+      Buf.read_sealed (Buf.reader (Bytes.to_string flipped)));
+  (* a header read apart from its payload, as a socket reader does *)
+  let header = Buf.reader (String.sub s 0 16) in
+  let asked = ref [] in
+  let source n =
+    asked := n :: !asked;
+    String.sub s 16 n
+  in
+  Alcotest.(check string) "payload from a source" "payload"
+    (Buf.read_sealed ~source header);
+  expect_corrupt "source never asked past the bound" (fun () ->
+      Buf.read_sealed ~max:6 ~source (Buf.reader (String.sub s 0 16)));
+  Alcotest.(check (list int)) "source asked once, for the length" [ 7 ] !asked
+
+(* Write-then-rename leaks nothing when the rename fails: the channel is
+   closed and the temporary removed. *)
+let test_write_file_cleans_up () =
+  let dir = Filename.temp_file "darco_buf" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let target = Filename.concat dir "out" in
+  let blocked = Filename.concat dir "blocked" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ target; Filename.concat blocked "inner"; blocked ^ ".tmp" ];
+      (try Unix.rmdir blocked with Unix.Unix_error _ -> ());
+      Unix.rmdir dir)
+  @@ fun () ->
+  Buf.write_file target "first";
+  Buf.write_file target "second";
+  Alcotest.(check string) "replaced whole" "second" (Buf.read_file target);
+  Unix.mkdir blocked 0o755;
+  Buf.write_file (Filename.concat blocked "inner") "x";
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = fds () in
+  (match Buf.write_file blocked "bytes" with
+  | () -> Alcotest.fail "renaming onto a directory must raise"
+  | exception Sys_error _ -> ());
+  Alcotest.(check bool) "no temporary left" false
+    (Sys.file_exists (blocked ^ ".tmp"));
+  Alcotest.(check int) "no descriptor leaked" before (fds ());
+  Alcotest.(check (list string)) "directory untouched" [ "inner" ]
+    (Array.to_list (Sys.readdir blocked))
 
 (* Work-frame golden fixtures: both DWRK versions committed as pinned
    bytes.  Version 1 (inline snapshot) is the frozen original format —
@@ -691,6 +767,9 @@ let () =
           Alcotest.test_case "corruption detected" `Quick test_corrupted_snapshot;
           Alcotest.test_case "manifest" `Quick test_manifest;
           Alcotest.test_case "golden corpus decodes" `Quick test_golden_corpus;
+          Alcotest.test_case "sealed container" `Quick test_sealed_container;
+          Alcotest.test_case "write-then-rename cleans up" `Quick
+            test_write_file_cleans_up;
           Alcotest.test_case "golden work frame v1" `Quick test_golden_work_v1;
           Alcotest.test_case "golden work frame v2" `Quick test_golden_work_v2;
         ] );

@@ -749,6 +749,49 @@ let test_serve_malformed_index_regenerates () =
     | Some pairs -> List.length pairs = 5
     | None -> false)
 
+(* An unreadable library file — here a directory where a window artifact
+   or a checkpoint index belongs — reads as a miss, and one that cannot be
+   written is skipped: the service regenerates and the campaign completes
+   with the same document as on a clean library. *)
+let test_serve_unreadable_library_files () =
+  with_temp_dir @@ fun dir ->
+  let run name libdir =
+    let pipe = Unix.pipe () in
+    let pid =
+      fork_client pipe (fun addr ->
+          let save ext s = write_file (Filename.concat dir (name ^ ext)) s in
+          match Client.submit addr spec1 with
+          | Ok (_, doc) -> save ".json" doc
+          | Error e -> save ".err" e)
+    in
+    Fun.protect
+      ~finally:(fun () -> wait pid)
+      (fun () ->
+        Serve.serve ~quiet:true ~jobs:2 ~max_submissions:1
+          ~ready:(announce [ snd pipe ])
+          ~library:libdir ~host:"127.0.0.1" ~port:0 ());
+    must_read dir (name ^ ".json")
+  in
+  let clean_lib = Filename.concat dir "clean" in
+  let clean = run "clean" clean_lib in
+  let blocked_lib = Filename.concat dir "blocked" in
+  Unix.mkdir blocked_lib 0o755;
+  let blocked =
+    List.filter
+      (fun n -> Filename.check_suffix n ".dart" || Filename.check_suffix n ".dcki")
+      (Array.to_list (Sys.readdir clean_lib))
+  in
+  Alcotest.(check int) "three windows and one checkpoint index" 4
+    (List.length blocked);
+  List.iter (fun n -> Unix.mkdir (Filename.concat blocked_lib n) 0o755) blocked;
+  Alcotest.(check string) "same document as on a clean library" clean
+    (run "blocked" blocked_lib);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " left in place") true
+        (Sys.is_directory (Filename.concat blocked_lib n)))
+    blocked
+
 (* Fetch picks a window's checkpoint by the same rule admission does: a
    fetch of every window after a cold submit returns what the submit
    streamed, including a window whose warm-up would start before
@@ -1017,6 +1060,8 @@ let () =
             test_serve_malformed_index_regenerates;
           Alcotest.test_case "fetch agrees with submit" `Quick
             test_serve_fetch_matches_submit;
+          Alcotest.test_case "unreadable library files regenerate" `Quick
+            test_serve_unreadable_library_files;
         ] );
       ( "telemetry",
         [
